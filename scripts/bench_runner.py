@@ -32,6 +32,8 @@ import subprocess
 import sys
 import time
 
+from repro.simt.backend import BACKEND_NAMES
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT_PATH = os.path.join(ROOT, "BENCH_runner.json")
 
@@ -78,7 +80,7 @@ def main(argv=None):
     parser.add_argument("--config", default="cheri_opt")
     parser.add_argument("--scale", type=int, default=1)
     parser.add_argument("--backend", default=None,
-                        choices=("scalar", "vector", "jit"),
+                        choices=BACKEND_NAMES,
                         help="execution backend (default: the SMConfig "
                              "default)")
     parser.add_argument("--label", default=None,
@@ -113,25 +115,10 @@ def main(argv=None):
     start = time.perf_counter()
     results = runner.run_suite(args.config, scale=args.scale, jobs=1,
                                **overrides)
-    cold_wall = time.perf_counter() - start
-    # One-time codegen/warm-up cost (the jit backend's compile time) is
-    # split out of the steady-state number: it is paid once per program
-    # digest and amortised by the cross-launch code cache.
-    breakdown = {}
-    overhead_total = 0.0
-    for name, result in results.items():
-        meta = result.meta
-        sim = meta.wall_seconds if meta else 0.0
-        jit = getattr(meta, "jit", None) if meta else None
-        overhead = jit.get("codegen_seconds", 0.0) if jit else 0.0
-        overhead_total += overhead
-        breakdown[name] = {
-            "cold_serial_seconds": round(sim - overhead, 3),
-            "first_launch_overhead_seconds": round(overhead, 3),
-        }
-    record["cold_serial_seconds"] = round(cold_wall - overhead_total, 3)
-    record["first_launch_overhead_seconds"] = round(overhead_total, 3)
-    record["cold_serial_breakdown"] = breakdown
+    record["cold_serial_seconds"] = round(time.perf_counter() - start, 3)
+    record["cold_serial_breakdown"] = {
+        name: round(result.meta.wall_seconds if result.meta else 0.0, 3)
+        for name, result in results.items()}
 
     # 2. cold parallel (default job count; on a 1-CPU box this simply
     # repeats the serial path).

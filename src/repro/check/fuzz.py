@@ -252,9 +252,8 @@ def _gen_alu(rng, index):
 def _gen_branchy(rng, index):
     """The alu mix re-weighted hard toward forward branches (~4x the
     usual rate) over per-lane scrambled operands: warps spend most of
-    the run partially diverged, driving the vector tier's masked issue
-    and the jit tier's masked compiled-region variants instead of the
-    converged fast paths."""
+    the run partially diverged, driving the vector backend's masked issue
+    and masked region entries instead of the converged fast paths."""
     regs = list(range(5, 16))
     return Case(index=index, kind="branchy",
                 config_name=rng.choice(("baseline", "cheri_opt")),

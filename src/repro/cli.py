@@ -39,7 +39,6 @@ def _add_mode_args(parser):
     parser.add_argument("--scale", type=int, default=1)
     _add_backend_arg(parser)
     _add_opt_arg(parser)
-    _add_jit_args(parser)
 
 
 def _add_opt_arg(parser, default=0):
@@ -50,25 +49,10 @@ def _add_opt_arg(parser, default=0):
 
 
 def _add_backend_arg(parser):
-    parser.add_argument("--backend", default=None,
-                        choices=("scalar", "vector", "jit"),
-                        help="execution backend (default: $REPRO_BACKEND "
-                             "or vector; all are bit-identical)")
-
-
-def _add_jit_args(parser):
-    parser.add_argument("--jit-dump-dir", default=None, metavar="DIR",
-                        help="write each generated JIT region closure to "
-                             "DIR as region_<digest>_<pc>.py (jit backend "
-                             "only)")
-
-
-def _wire_jit(rt, args):
-    """Apply JIT-tier CLI knobs to a freshly built runtime."""
-    dump = getattr(args, "jit_dump_dir", None)
-    if dump and hasattr(rt.sm.backend, "jit_dump_dir"):
-        rt.sm.backend.jit_dump_dir = dump
-    return rt
+    from repro.simt.backend import BACKEND_NAMES
+    parser.add_argument("--backend", default=None, choices=BACKEND_NAMES,
+                        help="execution backend (default: vector; both "
+                             "are bit-identical)")
 
 
 def _runtime(args):
@@ -82,7 +66,7 @@ def _runtime(args):
         config = SMConfig.cheri_optimised(**geometry)
     else:
         config = SMConfig.baseline(**geometry)
-    return _wire_jit(NoCLRuntime(args.mode, config=config), args)
+    return NoCLRuntime(args.mode, config=config)
 
 
 def cmd_list(_args):
@@ -224,64 +208,6 @@ def cmd_experiment(args):
     return 0
 
 
-def _render_regions(backend):
-    """The ``repro profile --regions`` view: per-region compiled-versus-
-    interpreted retire shares, plus why hot PCs escaped compilation."""
-    summary = backend.jit_summary()
-    report = backend.region_report()
-    out = []
-    out.append("  %d region(s) compiled (+%d masked variant(s), %d cache "
-               "hit(s)), %.3fs codegen, %.1f%% of retired steps inside "
-               "covered regions (%d of %d outside)"
-               % (summary["compiled_regions"],
-                  summary["compiled_masked_variants"],
-                  summary["cache_hits"], summary["codegen_seconds"],
-                  100 * summary["step_coverage"],
-                  summary["steps_outside_regions"],
-                  summary["steps_total"]))
-    rows = sorted(report["regions"], key=lambda r: -r["steps_retired"])
-    if rows:
-        out.append("")
-        out.append("  %-8s %-6s %5s %6s %11s %11s %7s %12s %7s %s"
-                   % ("pc", "lines", "len", "spec", "retired",
-                      "compiled", "miss", "entries f/m", "m-miss",
-                      "state"))
-        for row in rows:
-            lines = row["source_lines"]
-            span = ("%d-%d" % (lines[0], lines[-1]) if len(lines) > 1
-                    else str(lines[0]) if lines else "-")
-            compiled_steps = row["fused_steps"] + row["masked_steps"]
-            share = (100.0 * compiled_steps / row["steps_retired"]
-                     if row["steps_retired"] else 0.0)
-            state = "demoted" if row["demoted"] else "active"
-            if row["masked_demoted"]:
-                state += "/m-demoted"
-            out.append("  %-8s %-6s %5d %6s %11d %10.1f%% %7d %12s %7d %s"
-                       % ("0x%x" % row["pc"], span, row["length"],
-                          "%d/%d" % (row["specialized_steps"],
-                                     row["length"]),
-                          row["steps_retired"], share, row["arm_misses"],
-                          "%d/%d" % (row["full_entries"],
-                                     row["masked_entries"]),
-                          row["masked_arm_misses"], state))
-            masks = {mask: count
-                     for mask, count in row["entry_masks"].items()
-                     if count}
-            if len(masks) > 1 or row["masked_entries"]:
-                top = sorted(masks.items(), key=lambda kv: -kv[1])[:4]
-                out.append("  %8s mask %s%s"
-                           % ("", "  ".join("%s:%d" % kv for kv in top),
-                              "  ..." if len(masks) > 4 else ""))
-    misses = report["uncompiled_hot_pcs"]
-    if misses:
-        out.append("")
-        out.append("  hot PCs that escaped compilation:")
-        for row in sorted(misses, key=lambda r: -r["count"])[:20]:
-            out.append("    0x%-6x seen %6d: %s"
-                       % (row["pc"], row["count"], row["reason"]))
-    return "\n".join(out)
-
-
 def cmd_profile(args):
     """Cycle-attributed profile of one benchmark (nvprof-style)."""
     from repro.eval import runner
@@ -297,32 +223,18 @@ def cmd_profile(args):
         overrides["backend"] = args.backend
     overrides["opt"] = args.opt
     mode, config = runner.config_for(args.config, **overrides)
-    rt = _wire_jit(NoCLRuntime(mode, config=config), args)
-    if args.regions and not hasattr(rt.sm.backend, "region_report"):
-        print("profile --regions needs the jit backend "
-              "(pass --backend jit or set REPRO_BACKEND=jit)",
-              file=sys.stderr)
-        return 2
+    rt = NoCLRuntime(mode, config=config)
     profiler = ProfileCollector()
     sinks = [profiler]
     timeline = None
     if args.perfetto is not None:
         timeline = TimelineCollector()
         sinks.append(timeline)
-    if args.regions:
-        # Attached probes run the instrumented scheduler, which bypasses
-        # hot-region formation entirely; the region view needs the quiet
-        # loop, and all its counters live on the backend.
-        print("profile: --regions runs unprobed (the region view needs "
-              "the quiet hot-path loop); cycle-attribution views are "
-              "empty for this run", file=sys.stderr)
+    attach(rt.sm, *sinks)
+    try:
         stats = bench.run(rt, scale=args.scale)
-    else:
-        attach(rt.sm, *sinks)
-        try:
-            stats = bench.run(rt, scale=args.scale)
-        finally:
-            detach(rt.sm)
+    finally:
+        detach(rt.sm)
     opt_reports = {program.name: program.opt_report
                    for program in rt._compiled.values()
                    if program.opt_report is not None}
@@ -331,19 +243,11 @@ def cmd_profile(args):
         payload = {
             "benchmark": bench.name, "config": args.config, "mode": mode,
             "scale": args.scale, "opt": args.opt, "cycles": stats.cycles,
-            "probed": not args.regions,
             "profile": profiler.as_dict(),
         }
         if opt_reports:
             payload["opt_reports"] = opt_reports
-        backend = rt.sm.backend
-        if hasattr(backend, "jit_summary"):
-            payload["jit"] = backend.jit_summary()
-            payload["jit_regions"] = backend.region_report()
         print(json.dumps(payload, indent=1, sort_keys=True))
-    elif args.regions:
-        print("%s [%s] JIT region profile" % (bench.name, args.config))
-        print(_render_regions(rt.sm.backend))
     elif args.pc:
         print(profiler.render_pc(stats, limit=args.limit or 40))
     elif args.per_warp:
@@ -801,15 +705,8 @@ def build_parser():
                       help="per-warp occupancy and stall-cause breakdown")
     view.add_argument("--timeline", action="store_true",
                       help="coarse issue/stall activity strip over time")
-    view.add_argument("--regions", action="store_true",
-                      help="per-region JIT view: compiled vs interpreted "
-                           "retire share, arm misses, and why hot PCs "
-                           "escaped compilation (jit backend only; runs "
-                           "unprobed)")
     profile.add_argument("--json", action="store_true",
-                         help="dump the whole profile as JSON (with "
-                              "--regions: the JIT region payload, "
-                              "probed=false)")
+                         help="dump the whole profile as JSON")
     profile.add_argument("--perfetto", nargs="?", const="", default=None,
                          metavar="OUT.json",
                          help="also export a Perfetto/Chrome trace (default "
@@ -823,7 +720,6 @@ def build_parser():
                          help="override the evaluation lane count")
     _add_backend_arg(profile)
     _add_opt_arg(profile)
-    _add_jit_args(profile)
 
     diff = sub.add_parser(
         "diff", help="compare two run manifests, flag metric regressions")

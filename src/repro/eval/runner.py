@@ -93,10 +93,6 @@ class RunMeta:
 
     source: str = "sim"        # "sim" | "disk"
     wall_seconds: float = 0.0  # simulation wall-clock (0.0 for disk hits)
-    #: JIT-tier counters (``JITBackend.jit_summary()``) when the run
-    #: executed on the jit backend; None otherwise.  Purely diagnostic:
-    #: not part of the verified statistics and never compared.
-    jit: dict = None
     #: Per-kernel optimizer reports (``CompiledKernel.opt_report``) when
     #: the run compiled at -O1; None otherwise.  Diagnostic side-band,
     #: surfaced in manifests and ``repro profile``.
@@ -291,9 +287,9 @@ def _disk_load(name, config_name, mode, config, scale):
     # Re-label: different config aliases can resolve to the same content
     # key (e.g. an overridden cheri_opt equals an ablation config).
     result.config_name = config_name
-    # Optimizer reports are deterministic per (kernel, config) — unlike
-    # the runtime JIT counters, they survive the cache so -O1 manifests
-    # carry per-pass data whether the run simulated or hit disk.
+    # Optimizer reports are deterministic per (kernel, config), so they
+    # survive the cache and -O1 manifests carry per-pass data whether the
+    # run simulated or hit disk.
     result.meta = RunMeta(source="disk", wall_seconds=0.0,
                           opt=getattr(result.meta, "opt", None))
     return result
@@ -323,24 +319,10 @@ def _simulate(name, config_name, mode, config, scale):
                                   "scale": scale,
                                   "backend": getattr(config, "backend", "")})
                if tracer is not None else nullcontext())
-    with span_cm as span:
+    with span_cm:
         start = time.perf_counter()
         stats = bench.run(rt, scale=scale)
         elapsed = time.perf_counter() - start
-    backend = rt.sm.backend
-    jit = (backend.jit_summary() if hasattr(backend, "jit_summary")
-           else None)
-    if tracer is not None and jit:
-        codegen = jit.get("codegen_seconds") or 0.0
-        if codegen > 0 and span.end is not None:
-            # The JIT compiles lazily inside the simulation, so there is
-            # no live span to time; synthesise one from its own counter,
-            # anchored at the end of the simulate span.
-            tracer.record(tracer.start_span(
-                "jit.codegen", parent=span,
-                start=span.end - codegen,
-                attrs={"regions": jit.get("compiled_regions", 0)}),
-                end=span.end)
     opt_reports = None
     if getattr(config, "opt", 0):
         opt_reports = {
@@ -350,7 +332,7 @@ def _simulate(name, config_name, mode, config, scale):
         } or None
     return RunResult(name, config_name, mode, stats, config,
                      meta=RunMeta(source="sim", wall_seconds=elapsed,
-                                  jit=jit, opt=opt_reports))
+                                  opt=opt_reports))
 
 
 def job_key(name, config_name, scale=1, **overrides):

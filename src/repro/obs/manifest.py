@@ -107,12 +107,6 @@ def build_manifest(results, config_name, scale, wall_seconds,
             "cache_source": meta.source if meta else "memo",
             "sim_seconds": round(meta.wall_seconds, 6) if meta else 0.0,
         }
-        # Additive: per-benchmark JIT-tier counters when the run executed
-        # on the jit backend (``getattr`` tolerates RunMeta objects
-        # unpickled from pre-JIT disk caches).
-        jit = getattr(meta, "jit", None) if meta else None
-        if jit is not None:
-            benchmarks[name]["jit"] = jit
         # Additive: per-kernel optimizer pass reports when the run was
         # compiled at -O1 (absent on -O0 runs and pre-opt disk caches).
         opt_reports = getattr(meta, "opt", None) if meta else None

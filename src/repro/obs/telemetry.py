@@ -46,7 +46,7 @@ Naming conventions (see DESIGN.md): metric names are
 ``<subsystem>_<noun>[_<unit>][_total]`` (``serve_jobs_executed_total``,
 ``serve_job_latency_seconds``); span names are ``<layer>.<verb>``
 (``serve.submit``, ``serve.queue``, ``worker.execute``, ``runner.run``,
-``jit.codegen``).
+``simulate``).
 
 The process-global slot (:func:`install` / :func:`active_tracer`) is
 how deep layers find the tracer without plumbing: it defaults to
@@ -402,7 +402,7 @@ class Tracer:
     def current_span(self):
         """The innermost span opened by :meth:`span`, or ``None``.
 
-        This is how deep layers (the runner, the JIT) parent their spans
+        This is how deep layers (the runner) parent their spans
         without plumbing: the worker wraps job execution in a
         ``worker.execute`` span, and anything opened underneath nests
         automatically.

@@ -42,7 +42,6 @@ BENCH_METRICS = (
     "cold_parallel_seconds",
     "warm_disk_seconds",
     "warm_memo_seconds",
-    "first_launch_overhead_seconds",
 )
 
 #: Wall-clock readings below this many seconds are noise (cache-hit

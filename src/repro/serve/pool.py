@@ -45,7 +45,7 @@ def _worker_main(worker_id, task_queue, result_queue, env):
     the task queue), so one submission yields a single connected
     client → scheduler → worker trace.  The worker's tracer is
     installed process-globally, which is how the runner's own
-    ``runner.run``/``simulate``/``jit.codegen`` spans nest underneath.
+    ``runner.run``/``simulate`` spans nest underneath.
     Finished spans ride back in the payload under ``trace_spans``; the
     scheduler strips and ingests them.
     """

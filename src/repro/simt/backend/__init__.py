@@ -3,7 +3,7 @@
 A backend owns instruction decode and the issue/scheduler loop of one
 :class:`~repro.simt.pipeline.StreamingMultiprocessor`; the SM keeps the
 shared plumbing (register files, memory system, capability checks) that
-every backend drives.  Three backends exist:
+every backend drives.  Two backends exist:
 
 - ``scalar`` — the reference per-lane interpreter (one Python-level loop
   over active lanes per instruction).
@@ -11,16 +11,14 @@ every backend drives.  Three backends exist:
   forms, NumPy lane arrays on wide SMs, fast-path capability checks and a
   hot-trace specializer, falling back to the scalar semantics per-op for
   rare cases.  Bit-identical to ``scalar`` by construction.
-- ``jit`` — the codegen trace-JIT tier layered on ``vector``: hot
-  straight-line regions are compiled into fused Python closures
-  specialized to the decoded instructions (constants inlined, capability
-  checks hoisted, stats coalesced), cached by program digest so
-  recompilation survives re-launches.  Bit-identical to ``scalar`` by
-  construction, with the vectorized handlers as per-step fallback.
 
-Backends are selected by :attr:`repro.simt.config.SMConfig.backend`,
-whose default honours the ``REPRO_BACKEND`` environment variable.
+Backends are selected by :attr:`repro.simt.config.SMConfig.backend`
+(default ``vector``).
 """
+
+#: Every selectable backend; the config, the CLI and the scripts list
+#: their choices from here.
+BACKEND_NAMES = ("scalar", "vector")
 
 
 def create_backend(name, sm):
@@ -31,11 +29,5 @@ def create_backend(name, sm):
     if name == "vector":
         from repro.simt.backend.vector import VectorBackend
         return VectorBackend(sm)
-    if name == "jit":
-        from repro.simt.backend.jit import JITBackend
-        return JITBackend(sm)
-    raise ValueError("unknown backend %r (choose scalar, vector or jit)"
-                     % (name,))
-
-
-BACKEND_NAMES = ("scalar", "vector", "jit")
+    raise ValueError("unknown backend %r (choose %s)"
+                     % (name, " or ".join(BACKEND_NAMES)))

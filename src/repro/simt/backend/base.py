@@ -10,10 +10,10 @@ A backend is bound to one SM and provides three entry points:
   program to completion and returning the final cycle.
 
 Backends must produce bit-identical simulated statistics, probe events and
-fault semantics; only wall-clock speed may differ.  Tiers may subclass
-each other (the ``jit`` tier extends ``vector``) and hook region
-formation via :meth:`Backend.on_launch` plus backend-private state — the
-bit-identity contract applies to every tier alike.  ``fault_cycle``
+fault semantics; only wall-clock speed may differ.  A backend may
+subclass another (``vector`` extends ``scalar``) and keep per-launch
+state such as fused regions, reset in :meth:`Backend.on_launch`; the
+bit-identity contract applies to every backend alike.  ``fault_cycle``
 records the exact scheduler cycle at which a capability fault or software
 trap escaped :meth:`run`, so the SM can report the same abort cycle
 regardless of how the backend batches work internally.

@@ -182,7 +182,7 @@ class VectorBackend(ScalarBackend):
     name = "vector"
 
     #: Region-formation knobs, overridable per instance (tests lower the
-    #: threshold; the JIT tier inherits both).
+    #: threshold).
     _hot_threshold = _HOT_THRESHOLD
     _max_region = _MAX_REGION
 
@@ -194,17 +194,6 @@ class VectorBackend(ScalarBackend):
         self._bounds_memo = {}
         self._hot = {}
         self._regions = {}
-        #: (region start pc, entry mask) -> entry count.  Every region
-        #: entry — full-warp or masked — lands here, so divergence
-        #: starvation is visible per mask class in the region report.
-        self._entry_masks = {}
-        #: Cumulative per-static-instruction issue counts (index -> n),
-        #: flushed alongside opcode_counts; feeds region coverage stats.
-        self._pc_issue_counts = {}
-        #: Optional multi-warp region driver hook (set by the JIT tier):
-        #: called as ``convoy(picked, rq, cycle, icounts, max_cycles,
-        #: KernelAbort)`` and returns ``(cycle, rotation)`` or None.
-        self._convoy = None
 
     def on_launch(self):
         super().on_launch()
@@ -212,7 +201,6 @@ class VectorBackend(ScalarBackend):
         # regions from the previous program are invalid.
         self._hot = {}
         self._regions = {}
-        self._entry_masks = {}
         # The metadata memos are program-independent (pure functions of
         # the packed word); just bound their growth.
         if len(self._bounds_memo) > (1 << 15):
@@ -1528,11 +1516,7 @@ class VectorBackend(ScalarBackend):
         hot = self._hot
         hot_get = hot.get
         hot_threshold = self._hot_threshold
-        convoy = self._convoy
-        rq_frames = self._rq_frames
-        rq_frames_masked = self._rq_frames_masked
         masked_prefix = self._masked_prefix
-        entry_masks = self._entry_masks
 
         # Issue counters are accumulated in plain ints / a per-instruction
         # list and flushed to the stats object in the finally block below,
@@ -1596,19 +1580,13 @@ class VectorBackend(ScalarBackend):
                         c = pcc_cache.get(warp.pcc_meta[0])
                         if c is not None and c[2] and c[0] <= pc and \
                                 steps[-1][0] + 4 <= c[1]:
-                            warp.rq = [steps, 1, rq_frames(steps),
-                                       None, 0]
+                            warp.rq = [steps, 1, None, 0]
                     else:
-                        warp.rq = [steps, 1, rq_frames(steps), None, 0]
-                    if warp.rq is not None:
-                        em = (pc, full_mask)
-                        entry_masks[em] = entry_masks.get(em, 0) + 1
+                        warp.rq = [steps, 1, None, 0]
                 elif steps is None:
                     count = hot_get(index, 0) + 1
                     hot[index] = count
-                    # >= with the regions-dict entry as the promoted
-                    # sentinel: a counter seeded past the threshold
-                    # (banked heat, masked entries) still promotes, and
+                    # The regions-dict entry is the promoted sentinel:
                     # _build_region runs exactly once because the next
                     # visit short-circuits on regions_get above.
                     if count >= hot_threshold:
@@ -1636,12 +1614,7 @@ class VectorBackend(ScalarBackend):
                         if prefix >= 2:
                             sub = steps if prefix == len(steps) \
                                 else steps[:prefix]
-                            warp.rq = [sub, 1,
-                                       rq_frames_masked(sub, steps,
-                                                        lanes, mask),
-                                       lanes, mask]
-                            em = (pc, mask)
-                            entry_masks[em] = entry_masks.get(em, 0) + 1
+                            warp.rq = [sub, 1, lanes, mask]
                 elif steps is None:
                     count = hot_get(index, 0) + 1
                     hot[index] = count
@@ -1683,18 +1656,14 @@ class VectorBackend(ScalarBackend):
             # fetch-range and PCC checks were hoisted to region entry in
             # issue_quiet and stay valid because regions are
             # straight-line (no control flow, halts or barriers).  The
-            # entry mask rides in rq[3]/rq[4] (None = full warp), so
+            # entry mask rides in rq[2]/rq[3] (None = full warp), so
             # masked entries replay the handlers' own partial-mask
             # paths.  Accounting is bit-identical to issue_quiet's.
             nonlocal thread_acc, gp_occ_acc, meta_occ_acc
-            steps = rq[0]
-            i = rq[1]
-            lanes = rq[3]
+            steps, i, lanes, mask = rq
             if lanes is None:
                 lanes = all_lanes
                 mask = full_mask
-            else:
-                mask = rq[4]
             pc, instr, handler, aux, is_csc, op = steps[i]
             sm._cycle = cycle
             sm._mem_ready = cycle
@@ -1769,26 +1738,7 @@ class VectorBackend(ScalarBackend):
                 rotation = picked.index + 1
                 rq = picked.rq
                 if rq is not None:
-                    if convoy is not None and rq[1] <= 2 and \
-                            rq[3] is None:
-                        # JIT tier: when every runnable warp is inside
-                        # this region, a specialized driver replays the
-                        # barrel schedule over generated per-step frames
-                        # (exact pick order, exact cycles).  Returns the
-                        # (cycle, rotation) scheduler state to resume
-                        # from, or None when the convoy can't form.
-                        res = convoy(picked, rq, cycle, icounts,
-                                     max_cycles, KernelAbort)
-                        if res is not None:
-                            cycle, rotation = res
-                            continue
-                    fr = rq[2]
-                    if fr is not None:
-                        # JIT tier: one specialized frame per issue slot
-                        # (step_quiet semantics, same fault cycle).
-                        cycle = fr[rq[1]](picked, rq, cycle, icounts)
-                    else:
-                        cycle = step_quiet(picked, cycle, rq)
+                    cycle = step_quiet(picked, cycle, rq)
                 else:
                     cycle = issue(picked, cycle)
                 if cycle > max_cycles:
@@ -1828,11 +1778,13 @@ class VectorBackend(ScalarBackend):
                     cycle = nxt
                     rq = picked.rq
                     if rq is not None:
-                        # Solo: drain the queued region back-to-back
-                        # instead of one step per slot.
-                        cycle = self._drain_rq(picked, rq, cycle, others,
-                                               max_cycles, KernelAbort,
-                                               icounts)
+                        # Solo: drain the queued region suffix
+                        # back-to-back instead of one step per slot.
+                        picked.rq = None
+                        cycle = self._run_region(picked, rq[0][rq[1]:],
+                                                 cycle, others, max_cycles,
+                                                 KernelAbort, icounts,
+                                                 rq[2], rq[3])
                         continue
                     ra = self._region_at(picked)
                     if ra is not None:
@@ -1864,13 +1816,11 @@ class VectorBackend(ScalarBackend):
             raise
         finally:
             opcode_counts = stats.opcode_counts
-            pc_counts = self._pc_issue_counts
             issued = 0
             for idx in range(program_len):
                 c = icounts[idx]
                 if c:
                     opcode_counts[program[idx].op] += c
-                    pc_counts[idx] = pc_counts.get(idx, 0) + c
                     issued += c
             stats.instrs_issued += issued
             stats.thread_instrs += thread_acc
@@ -1935,8 +1885,6 @@ class VectorBackend(ScalarBackend):
                                     and steps[-1][0] + 4 <= top):
                 return None  # the per-instruction check faults precisely
         if lanes is None:
-            em = (pc0, sm._full_mask)
-            self._entry_masks[em] = self._entry_masks.get(em, 0) + 1
             return steps, None, 0
         prefix = self._masked_prefix(warp, lanes, steps)
         if prefix < 2:
@@ -1946,8 +1894,6 @@ class VectorBackend(ScalarBackend):
         mask = 0
         for lane in lanes:
             mask |= 1 << lane
-        em = (pc0, mask)
-        self._entry_masks[em] = self._entry_masks.get(em, 0) + 1
         return steps, lanes, mask
 
     def _masked_prefix(self, warp, lanes, steps):
@@ -1989,31 +1935,6 @@ class VectorBackend(ScalarBackend):
                 break
             k += 1
         return k
-
-    def _rq_frames(self, steps):
-        """Per-slot compiled frames for a region entry (queued as
-        ``rq[2]``), or None to step through the interpreted
-        ``step_quiet``.  The JIT tier overrides this."""
-        return None
-
-    def _rq_frames_masked(self, sub, steps, lanes, mask):
-        """Per-slot compiled frames for a *masked* region entry
-        (``sub`` is the dominance prefix of the full region ``steps``),
-        or None to step through the interpreted ``step_quiet`` under
-        the entry mask.  The JIT tier overrides this with per-mask-class
-        closure variants."""
-        return None
-
-    def _drain_rq(self, warp, rq, cycle, others, max_cycles, kernel_abort,
-                  icounts):
-        """Drain a solo warp's queued region suffix back-to-back.  The
-        JIT tier overrides this to drive the compiled per-slot frames
-        with ``rq`` kept live (so an early exit resumes per-slot
-        dispatch instead of re-fetching)."""
-        warp.rq = None
-        return self._run_region(warp, rq[0][rq[1]:], cycle, others,
-                                max_cycles, kernel_abort, icounts,
-                                rq[3], rq[4])
 
     def _build_region(self, index):
         """Compile the straight-line run starting at ``index`` into steps

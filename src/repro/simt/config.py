@@ -10,8 +10,9 @@ The paper evaluates three configurations (section 4.1):
   SRF, bounds instructions in the SFU, static PC metadata restriction.
 """
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+from repro.simt.backend import BACKEND_NAMES
 
 #: Number of architectural registers per thread.
 REGS_PER_THREAD = 32
@@ -31,17 +32,6 @@ ARG_BASE = 0x00010000
 HEAP_BASE = 0x00100000
 STACK_BASE = 0x40000000
 SCRATCHPAD_BASE = 0xC0000000
-
-
-def default_backend():
-    """The default execution backend.
-
-    Honours the ``REPRO_BACKEND`` environment variable so CI jobs and
-    the serve workers can switch tiers without threading flags through
-    every entry point; an explicit ``backend=`` argument (e.g. from a
-    CLI ``--backend`` flag) still wins because it bypasses the default.
-    """
-    return os.environ.get("REPRO_BACKEND") or "vector"
 
 
 @dataclass(frozen=True)
@@ -89,11 +79,7 @@ class SMConfig:
     #: affine forms, NumPy arrays on wide SMs, hot-trace specialisation)
     #: and is bit-identical to the scalar backend by construction —
     #: enforced by the equivalence tests and ``repro lockstep``.
-    #: ``"jit"`` layers the codegen trace-JIT tier on top of the vector
-    #: backend (see :mod:`repro.simt.backend.jit`), same bit-identity
-    #: contract.  The default honours ``REPRO_BACKEND`` (see
-    #: :func:`default_backend`).
-    backend: str = field(default_factory=default_backend)
+    backend: str = "vector"
 
     # -- compiler ------------------------------------------------------------
     #: Kernel-compiler optimization level (``repro.nocl.opt``): 0 compiles
@@ -136,10 +122,9 @@ class SMConfig:
                              % MAX_HW_THREADS)
         if not 0.0 < self.vrf_fraction <= 1.0:
             raise ValueError("vrf_fraction must be in (0, 1]")
-        if self.backend not in ("scalar", "vector", "jit"):
-            raise ValueError(
-                "unknown backend %r (choose scalar, vector or jit)"
-                % (self.backend,))
+        if self.backend not in BACKEND_NAMES:
+            raise ValueError("unknown backend %r (choose %s)"
+                             % (self.backend, " or ".join(BACKEND_NAMES)))
         if self.opt not in (0, 1):
             raise ValueError("unknown opt level %r (choose 0 or 1)"
                              % (self.opt,))

@@ -94,7 +94,8 @@ class _Warp:
         self.block_slot = block_slot
         self.done = False
         # Pending fused-region steps for the vector backend's barrel
-        # scheduler: [steps, next_index] or None (see VectorBackend.run).
+        # scheduler: [steps, next_index, lanes, mask] or None, with
+        # lanes None for a full-warp entry (see VectorBackend.run).
         self.rq = None
 
 

@@ -29,6 +29,10 @@ from repro.eval import runner
 GEOMETRY = dict(num_warps=4, num_lanes=4)
 BENCHES = ("VecAdd", "Histogram", "Reduce")
 CONFIGS = ("baseline", "cheri_opt")
+#: Benchmarks whose warps diverge at GEOMETRY, so the vector backend
+#: enters fused regions under partial masks.
+DIVERGENT_BENCHES = ("BitonicLa", "BitonicSm", "BlkStencil", "MotionEst",
+                     "SPMV", "Scan", "VecGCD")
 
 
 def _signature(result):
@@ -235,17 +239,23 @@ class TestBackendEquivalence:
     ``SMConfig.backend`` selects the execution backend; both must
     produce bit-identical :class:`SMStats` for every benchmark in the
     suite (not a sample — the vector backend's fast paths key off value
-    patterns, so coverage must include every kernel).  The SM-level
-    corner cases live in ``tests/simt/test_backend.py``; this is the
-    end-to-end sweep.
+    patterns, so coverage must include every kernel) under all four
+    protection configs.  The SM-level corner cases live in
+    ``tests/simt/test_backend.py``; this is the end-to-end sweep.
     """
 
-    @pytest.mark.parametrize("config_name", CONFIGS)
+    @pytest.mark.parametrize("config_name", runner.CONFIG_NAMES)
     @pytest.mark.parametrize("name", sorted(
         __import__("repro.benchsuite", fromlist=["ALL_BENCHMARKS"])
         .ALL_BENCHMARKS))
     def test_full_suite_scalar_vector_bit_identical(self, name,
-                                                    config_name):
+                                                    config_name,
+                                                    monkeypatch):
+        # The region threshold is lowered so that blocks too cold to
+        # form a region at the default threshold also run through full
+        # and masked fused regions at the small test geometry.
+        from repro.simt.backend.vector import VectorBackend
+        monkeypatch.setattr(VectorBackend, "_hot_threshold", 4)
         runner.set_disk_cache(False)
         scalar = runner.run_benchmark(name, config_name, backend="scalar",
                                       **GEOMETRY)
@@ -253,26 +263,43 @@ class TestBackendEquivalence:
                                       **GEOMETRY)
         assert _signature(scalar) == _signature(vector)
 
-    @pytest.mark.parametrize("config_name", runner.CONFIG_NAMES)
+    @pytest.mark.parametrize("threshold", ["eager", "default"])
     @pytest.mark.parametrize("name", sorted(
         __import__("repro.benchsuite", fromlist=["ALL_BENCHMARKS"])
         .ALL_BENCHMARKS))
-    def test_full_suite_scalar_jit_bit_identical(self, name, config_name,
-                                                 monkeypatch):
-        """The trace-JIT tier across all four protection configs.
+    def test_full_suite_vector_forms_regions(self, name, threshold,
+                                             monkeypatch):
+        """The sweep above would still pass if the vector tier silently
+        stopped forming fused regions (the per-slot path is also exact).
+        Pin that every launch of every benchmark forms regions at the
+        test geometry, at the lowered threshold and at the default one,
+        and that the kernels whose warps diverge enter them under
+        partial masks."""
+        from repro.simt.backend.vector import VectorBackend
+        if threshold == "eager":
+            monkeypatch.setattr(VectorBackend, "_hot_threshold", 4)
+        formed, masked = [], []
+        run, prefix = VectorBackend.run, VectorBackend._masked_prefix
 
-        Promotion thresholds are lowered so the small test geometry
-        actually compiles regions (otherwise nothing would reach the
-        fused closures and the sweep would only test the vector tier)."""
-        from repro.simt.backend.jit import JITBackend
-        monkeypatch.setattr(JITBackend, "_hot_threshold", 4)
-        monkeypatch.setattr(JITBackend, "_promote_after", 1)
+        def run_spy(self, max_cycles):
+            cycle = run(self, max_cycles)
+            formed.append(sum(1 for steps in self._regions.values()
+                              if steps))
+            return cycle
+
+        def prefix_spy(self, warp, lanes, steps):
+            entered = prefix(self, warp, lanes, steps)
+            masked.append(entered >= 2)
+            return entered
+
+        monkeypatch.setattr(VectorBackend, "run", run_spy)
+        monkeypatch.setattr(VectorBackend, "_masked_prefix", prefix_spy)
         runner.set_disk_cache(False)
-        scalar = runner.run_benchmark(name, config_name, backend="scalar",
-                                      **GEOMETRY)
-        jit = runner.run_benchmark(name, config_name, backend="jit",
-                                   **GEOMETRY)
-        assert _signature(scalar) == _signature(jit)
+        runner.run_benchmark(name, "cheri_opt", backend="vector",
+                             **GEOMETRY)
+        assert formed and all(formed)
+        if name in DIVERGENT_BENCHES:
+            assert any(masked)
 
     def test_multism_scalar_vector_bit_identical(self):
         from repro.nocl import i32

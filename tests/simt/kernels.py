@@ -14,9 +14,9 @@ and drive the masked region-variant machinery:
   body (load, mix, store, cursor bump) under ever-thinner masks.
 
 Both keep their straight-line blocks long enough (>= 4 instructions)
-to form compiled regions, which makes them the canonical fixtures for
-scalar-vs-vector-vs-jit bit-identity under partial masks and for the
-CI divergence smoke job.
+to form fused regions, which makes them the canonical fixtures for
+scalar-vs-vector bit-identity under partial masks and for the CI
+divergence smoke job.
 """
 
 from repro.isa.instructions import Instr, Op

@@ -8,8 +8,9 @@ pin down:
 - instruction slots whose active-lane set shrinks to a single lane or
   whose static instructions never issue at all (a fully-taken branch);
 - divergence and reconvergence across a warp, including the hot-trace
-  region machinery that only engages for converged warps;
-- capability faults raised by a strict subset of a warp's lanes;
+  region machinery, entered by converged warps and under partial masks;
+- capability faults raised by a strict subset of a warp's lanes, also
+  from inside a fused region (full-warp or masked);
 - the NumPy wide-SM path (``num_lanes >= 16``), which evaluates ALU ops
   on uint32 arrays instead of per-lane Python ints.
 """
@@ -21,6 +22,8 @@ import pytest
 from repro.cheri import root_capability
 from repro.isa.instructions import Instr, Op
 from repro.simt import KernelAbort, SMConfig, StreamingMultiprocessor
+from repro.simt.backend import BACKEND_NAMES, create_backend
+from repro.simt.backend.vector import VectorBackend
 from repro.simt.config import HEAP_BASE
 
 from tests.simt.kernels import branch_ladder, frontier_loop
@@ -33,9 +36,46 @@ def _config(mode, backend, num_warps, num_lanes, **kwargs):
                    **kwargs).with_(backend=backend)
 
 
+@pytest.fixture
+def eager_regions(monkeypatch):
+    """Lower the region threshold so the tiny test programs form fused
+    regions within a handful of loop iterations."""
+    monkeypatch.setattr(VectorBackend, "_hot_threshold", 4)
+
+
+@pytest.fixture
+def masked_entries(monkeypatch):
+    """Record every masked region entry the vector backend makes.
+
+    ``_masked_prefix`` is consulted only when a diverged thread group
+    sits at a region start; a prefix of at least two steps is entered."""
+    prefixes = []
+    original = VectorBackend._masked_prefix
+
+    def spy(self, warp, lanes, steps):
+        prefix = original(self, warp, lanes, steps)
+        prefixes.append(prefix)
+        return prefix
+
+    monkeypatch.setattr(VectorBackend, "_masked_prefix", spy)
+    return prefixes
+
+
+#: (num_warps, num_lanes): the per-lane Python path and the wide NumPy
+#: path (>= 16 lanes).
+WARP_SHAPES = [(2, 4), (1, 16)]
+
+
+def _formed(backend):
+    """Start PCs of the fused regions the vector backend formed."""
+    return {index << 2 for index, steps in backend._regions.items()
+            if steps}
+
+
 def _run_one(backend, prog, mode="baseline", num_warps=2, num_lanes=4,
              init_regs=None, init_cap_regs=None, setup=None, **kwargs):
-    """One backend's view of a launch: stats, memory, tags, fault."""
+    """One backend's view of a launch: stats, memory, tags, fault, and
+    the backend itself."""
     sm = StreamingMultiprocessor(
         _config(mode, backend, num_warps, num_lanes, **kwargs))
     if setup is not None:
@@ -51,14 +91,16 @@ def _run_one(backend, prog, mode="baseline", num_warps=2, num_lanes=4,
         "words": dict(sm.memory._words),
         "tags": set(sm.memory._tags),
         "fault": fault,
+        "backend": sm.backend,
     }
 
 
 def run_both(prog, **kwargs):
     """Run on both backends and assert every observable matches.
 
-    Returns the scalar observation so tests can make additional
-    assertions about what actually happened.
+    Returns the scalar observation, so tests can make additional
+    assertions about what actually happened, and the vector backend,
+    so they can check which fused regions formed.
     """
     scalar = _run_one("scalar", prog, **kwargs)
     vector = _run_one("vector", prog, **kwargs)
@@ -66,7 +108,7 @@ def run_both(prog, **kwargs):
     assert scalar["words"] == vector["words"]
     assert scalar["tags"] == vector["tags"]
     assert scalar["stats"] == vector["stats"]
-    return scalar
+    return scalar, vector["backend"]
 
 
 def heap_slots(num_threads, base=HEAP_BASE):
@@ -84,7 +126,7 @@ class TestMaskedIssueSlots:
             Instr(Op.SW, rs1=8, rs2=6, imm=0),
             Instr(Op.HALT),
         ]
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             init_regs={6: [41] * 8, 8: heap_slots(8)},
         )
@@ -104,7 +146,7 @@ class TestMaskedIssueSlots:
             Instr(Op.HALT),
         ]
         lanes = 4
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             num_warps=2, num_lanes=lanes,
             init_regs={5: [t % lanes for t in range(2 * lanes)],
@@ -132,7 +174,7 @@ class TestDivergenceReconvergence:
         ]
         lanes = 4
         threads = 2 * lanes
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             num_warps=2, num_lanes=lanes,
             init_regs={5: list(range(threads)), 8: heap_slots(threads)},
@@ -154,7 +196,7 @@ class TestDivergenceReconvergence:
         ]
         lanes = 4
         threads = 2 * lanes
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             num_warps=2, num_lanes=lanes,
             init_regs={5: list(range(threads)), 8: heap_slots(threads)},
@@ -179,14 +221,14 @@ class TestFaultingLaneSubsets:
     @pytest.mark.parametrize("bad_lanes", [(3,), (0,), (1, 2)])
     def test_out_of_bounds_lane_subset_faults_identically(self, bad_lanes):
         prog, caps = self._oob_case(set(bad_lanes))
-        obs = run_both(prog, mode="purecap", num_warps=1,
+        obs, _ = run_both(prog, mode="purecap", num_warps=1,
                        init_cap_regs=caps)
         assert obs["fault"] is not None
         assert obs["fault"][0] == "BoundsViolation"
 
     def test_all_lanes_in_bounds_is_clean(self):
         prog, caps = self._oob_case(set())
-        obs = run_both(prog, mode="purecap", num_warps=1,
+        obs, _ = run_both(prog, mode="purecap", num_warps=1,
                        init_cap_regs=caps)
         assert obs["fault"] is None
 
@@ -199,7 +241,7 @@ class TestFaultingLaneSubsets:
         assert exact
         caps = [cap.set_addr(HEAP_BASE + 8 * t) for t in range(num_lanes)]
         prog = [Instr(Op.CSW, rs1=6, rs2=5, imm=0), Instr(Op.HALT)]
-        obs = run_both(prog, mode="purecap", num_warps=1,
+        obs, _ = run_both(prog, mode="purecap", num_warps=1,
                        init_regs={5: [7] * num_lanes}, init_cap_regs={6: caps})
         assert obs["fault"] is not None
         assert obs["fault"][0] == "BoundsViolation"
@@ -218,7 +260,7 @@ class TestWideSMNumpyPath:
             Instr(Op.SW, rs1=8, rs2=12, imm=0),
             Instr(Op.HALT),
         ]
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             num_warps=1, num_lanes=lanes,
             init_regs={5: list(range(lanes)),
@@ -245,7 +287,7 @@ class TestWideSMNumpyPath:
             Instr(Op.SW, rs1=8, rs2=9, imm=0),
             Instr(Op.HALT),
         ]
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             num_warps=1, num_lanes=lanes,
             init_regs={5: list(range(lanes)), 8: heap_slots(lanes)},
@@ -256,7 +298,7 @@ class TestWideSMNumpyPath:
 
 
 class TestIrregularKernels:
-    """Divergence-stress micro-kernels (shared with the jit stack).
+    """Divergence-stress micro-kernels (shared with the lockstep tests).
 
     Both kernels keep a strict subset of each warp's lanes converged on
     a long straight-line block, so the vector backend's masked region
@@ -264,7 +306,7 @@ class TestIrregularKernels:
 
     def test_branch_ladder_bit_identical(self):
         prog, regs = branch_ladder()
-        obs = run_both(prog, num_warps=2, num_lanes=4, init_regs=regs)
+        obs, _ = run_both(prog, num_warps=2, num_lanes=4, init_regs=regs)
         assert obs["fault"] is None
         # Every lane rejoined and stored its final accumulator.
         for t in range(8):
@@ -272,7 +314,7 @@ class TestIrregularKernels:
 
     def test_frontier_loop_bit_identical(self):
         prog, regs = frontier_loop()
-        obs = run_both(prog, num_warps=2, num_lanes=4, init_regs=regs)
+        obs, _ = run_both(prog, num_warps=2, num_lanes=4, init_regs=regs)
         assert obs["fault"] is None
         for t in range(8):
             trips = (3 * t) % 7 + 1
@@ -280,8 +322,222 @@ class TestIrregularKernels:
 
     def test_frontier_loop_wide_numpy_path(self):
         prog, regs = frontier_loop(threads=16)
-        obs = run_both(prog, num_warps=1, num_lanes=16, init_regs=regs)
+        obs, _ = run_both(prog, num_warps=1, num_lanes=16, init_regs=regs)
         assert obs["fault"] is None
+
+    @pytest.mark.parametrize("num_warps,num_lanes", WARP_SHAPES)
+    def test_branch_ladder_enters_masked_regions(self, eager_regions,
+                                                 masked_entries, num_warps,
+                                                 num_lanes):
+        prog, regs = branch_ladder(trips=24, threads=num_warps * num_lanes)
+        _, backend = run_both(prog, num_warps=num_warps,
+                              num_lanes=num_lanes, init_regs=regs)
+        # Both parity arms (even at 0x10, odd at 0x24) formed regions,
+        # and diverged thread groups entered them under partial masks.
+        assert {0x10, 0x24} <= _formed(backend)
+        assert any(prefix >= 2 for prefix in masked_entries)
+
+    @pytest.mark.parametrize("num_warps,num_lanes", WARP_SHAPES)
+    def test_frontier_loop_enters_masked_regions(self, eager_regions,
+                                                 masked_entries, num_warps,
+                                                 num_lanes):
+        prog, regs = frontier_loop(threads=num_warps * num_lanes)
+        _, backend = run_both(prog, num_warps=num_warps,
+                              num_lanes=num_lanes, init_regs=regs)
+        # The loop body formed a region, and the lanes still walking
+        # the frontier entered it after others retired.
+        assert 0x8 in _formed(backend)
+        assert any(prefix >= 2 for prefix in masked_entries)
+
+
+def _alu_loop(trips=12):
+    """A convergent counted loop with a 4-step straight-line body."""
+    prog = [
+        Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+        Instr(Op.BGE, rs1=9, rs2=5, imm=24),             # loop head
+        Instr(Op.ADD, rd=10, rs1=9, rs2=6),              # region start
+        Instr(Op.XOR, rd=11, rs1=10, rs2=7),
+        Instr(Op.SLLI, rd=12, rs1=11, imm=1),
+        Instr(Op.ADDI, rd=9, rs1=9, imm=1),
+        Instr(Op.JAL, rd=0, imm=-20),
+        Instr(Op.SW, rs1=8, rs2=12, imm=0),
+        Instr(Op.HALT),
+    ]
+    threads = 8
+    regs = {5: [trips] * threads,
+            6: [3] * threads,
+            7: [0x55] * threads,
+            8: heap_slots(threads)}
+    return prog, regs
+
+
+class TestRegionRelaunch:
+    def test_relaunch_stats_match_scalar(self, eager_regions):
+        # Regions are per program and reset on every launch: launching
+        # twice on one SM must match a scalar SM doing the same.
+        prog, regs = _alu_loop()
+        per_backend = {}
+        for backend in BACKEND_NAMES:
+            sm = StreamingMultiprocessor(
+                _config("baseline", backend, 2, 4))
+            sm.launch(prog, init_regs=regs)
+            first = asdict(sm.stats)
+            sm.launch(prog, init_regs=regs)
+            per_backend[backend] = (first, asdict(sm.stats))
+            if backend == "vector":
+                assert 0x8 in _formed(sm.backend)
+        assert per_backend["scalar"] == per_backend["vector"]
+
+
+@pytest.mark.parametrize("num_lanes", [4, 16])
+class TestMidRegionFault:
+    """Capability faults raised from inside a fused region: same fault
+    kind, same pinned cycle, same statistics as the scalar reference —
+    whether the fault is uniform across the warp or confined to one
+    lane, on the per-lane and the wide NumPy path."""
+
+    def _fault_loop(self, bad_lane=None, window_words=8, trips=12,
+                    num_lanes=4):
+        """A loop whose CLW sits mid-region and walks each lane's
+        capability forward until it leaves bounds."""
+        prog = [
+            Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+            Instr(Op.BGE, rs1=9, rs2=5, imm=24),         # loop head
+            Instr(Op.ADD, rd=10, rs1=9, rs2=9),          # region start
+            Instr(Op.CLW, rd=11, rs1=6, imm=0),          # faults late
+            Instr(Op.CINCOFFSETIMM, rd=6, rs1=6, imm=4),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=1),
+            Instr(Op.JAL, rd=0, imm=-20),
+            Instr(Op.HALT),
+        ]
+        cap, exact = root_capability().set_bounds(HEAP_BASE,
+                                                  4 * window_words)
+        assert exact
+        caps = []
+        for t in range(num_lanes):
+            addr = HEAP_BASE
+            if t == bad_lane:
+                # This lane starts deeper into the window, so it walks
+                # out of bounds iterations before the others.
+                addr = HEAP_BASE + 4 * (window_words - 2)
+            caps.append(cap.set_addr(addr))
+        regs = {5: [trips] * num_lanes}
+        return prog, regs, {6: caps}
+
+    def test_uniform_fault_mid_region(self, eager_regions, num_lanes):
+        prog, regs, caps = self._fault_loop(num_lanes=num_lanes)
+        obs, backend = run_both(prog, mode="purecap", num_warps=1,
+                                num_lanes=num_lanes, init_regs=regs,
+                                init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert 0x8 in _formed(backend)
+
+    def test_single_lane_fault_mid_region(self, eager_regions, num_lanes):
+        prog, regs, caps = self._fault_loop(bad_lane=2,
+                                            num_lanes=num_lanes)
+        obs, backend = run_both(prog, mode="purecap", num_warps=1,
+                                num_lanes=num_lanes, init_regs=regs,
+                                init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert 0x8 in _formed(backend)
+
+    def test_clean_when_window_covers_the_walk(self, eager_regions,
+                                               num_lanes):
+        prog, regs, caps = self._fault_loop(window_words=16, trips=12,
+                                            num_lanes=num_lanes)
+        obs, backend = run_both(prog, mode="purecap", num_warps=1,
+                                num_lanes=num_lanes, init_regs=regs,
+                                init_cap_regs=caps)
+        assert obs["fault"] is None
+        assert 0x8 in _formed(backend)
+
+
+@pytest.mark.parametrize("num_lanes", [4, 16])
+class TestMaskedMidRegionFault:
+    """Capability faults raised from inside a region entered under a
+    partial mask, uniform across the active subset or confined to a
+    single lane of it, on the per-lane and the wide NumPy path."""
+
+    def _masked_fault_loop(self, bad_lane=None, window_words=8, trips=12,
+                           num_lanes=4, parked_lane=3):
+        """One lane branches straight to HALT, so the remaining subset
+        walks the capability-fault loop under a partial mask."""
+        prog = [
+            Instr(Op.BNE, rs1=12, rs2=0, imm=32),        # parked lane out
+            Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+            Instr(Op.BGE, rs1=9, rs2=5, imm=28),         # loop head
+            Instr(Op.ADD, rd=10, rs1=9, rs2=9, depth=1),  # region start
+            Instr(Op.CLW, rd=11, rs1=6, imm=0, depth=1),  # faults late
+            Instr(Op.CINCOFFSETIMM, rd=6, rs1=6, imm=4, depth=1),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=1, depth=1),
+            Instr(Op.JAL, rd=0, imm=-20, depth=1),       # -> loop head
+            Instr(Op.HALT),                              # parked lane
+            Instr(Op.HALT),                              # loop exit
+        ]
+        cap, exact = root_capability().set_bounds(HEAP_BASE,
+                                                  4 * window_words)
+        assert exact
+        caps = []
+        for t in range(num_lanes):
+            addr = HEAP_BASE
+            if t == bad_lane:
+                addr = HEAP_BASE + 4 * (window_words - 2)
+            caps.append(cap.set_addr(addr))
+        regs = {5: [trips] * num_lanes,
+                12: [1 if t == parked_lane else 0
+                     for t in range(num_lanes)]}
+        return prog, regs, {6: caps}
+
+    def test_uniform_masked_fault(self, eager_regions, masked_entries,
+                                  num_lanes):
+        prog, regs, caps = self._masked_fault_loop(num_lanes=num_lanes)
+        obs, backend = run_both(prog, mode="purecap", num_warps=1,
+                                num_lanes=num_lanes, init_regs=regs,
+                                init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert 0xC in _formed(backend)
+        assert any(prefix >= 2 for prefix in masked_entries)
+
+    def test_single_lane_masked_fault(self, eager_regions, masked_entries,
+                                      num_lanes):
+        prog, regs, caps = self._masked_fault_loop(
+            bad_lane=1, num_lanes=num_lanes)
+        obs, backend = run_both(prog, mode="purecap", num_warps=1,
+                                num_lanes=num_lanes, init_regs=regs,
+                                init_cap_regs=caps)
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "BoundsViolation"
+        assert 0xC in _formed(backend)
+        assert any(prefix >= 2 for prefix in masked_entries)
+
+    def test_clean_masked_walk(self, eager_regions, masked_entries,
+                               num_lanes):
+        prog, regs, caps = self._masked_fault_loop(
+            window_words=16, num_lanes=num_lanes)
+        obs, backend = run_both(prog, mode="purecap", num_warps=1,
+                                num_lanes=num_lanes, init_regs=regs,
+                                init_cap_regs=caps)
+        assert obs["fault"] is None
+        assert 0xC in _formed(backend)
+        assert any(prefix >= 2 for prefix in masked_entries)
+
+
+class TestBackendSelection:
+    def test_default_is_vector(self):
+        assert SMConfig().backend == "vector"
+
+    def test_every_listed_backend_builds_without_an_sm(self):
+        for name in BACKEND_NAMES:
+            assert create_backend(name, None).name == name
+
+    def test_unknown_backend_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            SMConfig.baseline().with_(backend="turbo")
+        with pytest.raises(ValueError, match="unknown backend"):
+            create_backend("turbo", None)
 
 
 class TestSubWordMemory:
@@ -298,7 +554,7 @@ class TestSubWordMemory:
             Instr(Op.HALT),
         ]
         threads = 2 * lanes
-        obs = run_both(
+        obs, _ = run_both(
             prog,
             num_warps=2, num_lanes=lanes,
             init_regs={
