@@ -153,11 +153,12 @@ def _render_opt_report(report):
 
 def cmd_trace(args):
     from repro.eval.tracing import TraceRecorder
+    from repro.obs import attach
     bench = ALL_BENCHMARKS[args.benchmark]
     rt = _runtime(args)
     recorder = TraceRecorder(limit=args.limit, only_warp=args.warp,
                              num_lanes=rt.sm.cfg.num_lanes)
-    rt.sm.trace = recorder
+    attach(rt.sm, recorder)
     bench.run(rt, scale=args.scale)
     print(recorder.render())
     return 0

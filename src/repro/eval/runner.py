@@ -399,21 +399,30 @@ def run_benchmark(name, config_name, scale=1, **overrides):
     return _run_benchmark(name, config_name, scale, **overrides)
 
 
-def _run_benchmark(name, config_name, scale, **overrides):
-    mode, config = config_for(config_name, **overrides)
+def _lookup(name, config_name, mode, config, scale):
+    """Counted memo then disk-cache lookup: ``(memo key, result)``.
+
+    ``result`` is None on a miss; a disk hit is merged into the memo.
+    """
     key = (name, config_name, mode, config, scale)
     with _LOCK:
         result = _CACHE.get(key)
     if result is not None:
         RUNNER_STATS.bump(memo_hits=1)
-        return result
-    if _disk_enabled:
+    elif _disk_enabled:
         result = _disk_load(name, config_name, mode, config, scale)
         if result is not None:
             RUNNER_STATS.bump(disk_hits=1)
             with _LOCK:
                 _CACHE[key] = result
-            return result
+    return key, result
+
+
+def _run_benchmark(name, config_name, scale, **overrides):
+    mode, config = config_for(config_name, **overrides)
+    key, result = _lookup(name, config_name, mode, config, scale)
+    if result is not None:
+        return result
     result = _simulate(name, config_name, mode, config, scale)
     RUNNER_STATS.bump(misses=1, sim_seconds=result.meta.wall_seconds)
     with _LOCK:
@@ -440,19 +449,9 @@ def run_suite(config_name, scale=1, jobs=None, **overrides):
     suite_start = time.perf_counter()
     results = {}
     pending = []
+    mode, config = config_for(config_name, **overrides)
     for name in BENCHMARK_NAMES:
-        mode, config = config_for(config_name, **overrides)
-        key = (name, config_name, mode, config, scale)
-        with _LOCK:
-            cached = _CACHE.get(key)
-        if cached is None and _disk_enabled:
-            cached = _disk_load(name, config_name, mode, config, scale)
-            if cached is not None:
-                RUNNER_STATS.bump(disk_hits=1)
-                with _LOCK:
-                    _CACHE[key] = cached
-        elif cached is not None:
-            RUNNER_STATS.bump(memo_hits=1)
+        key, cached = _lookup(name, config_name, mode, config, scale)
         if cached is not None:
             results[name] = cached
         else:

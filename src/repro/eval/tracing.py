@@ -1,7 +1,8 @@
 """Instruction tracing: see exactly what the SM issues, cycle by cycle.
 
-Attach a :class:`TraceRecorder` to an SM before launching and it captures
-every issue — cycle, warp, PC, disassembled instruction, active lanes.
+Attach a :class:`TraceRecorder` to an SM's probe bus
+(:func:`repro.obs.attach`) before launching and it captures every retired
+issue — cycle, warp, PC, disassembled instruction, active lanes.
 Useful for debugging kernels, for teaching (watching reconvergence
 happen), and for the trace-shape tests in the suite.
 """
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.isa.disasm import format_instr
+from repro.obs import attach
 
 
 @dataclass
@@ -51,6 +53,9 @@ class TraceRecorder:
         self.num_lanes = num_lanes
         self.dropped = 0
 
+    def on_retire(self, cycle, warp, pc, instr, lanes):
+        self.record(cycle, warp.index, pc, instr, lanes)
+
     def record(self, cycle, warp, pc, instr, lanes):
         if self.only_warp is not None and warp != self.only_warp:
             return
@@ -82,9 +87,11 @@ def trace_kernel(runtime, kernel_src, grid_dim, block_dim, args,
     """Launch a kernel with tracing enabled; returns (stats, recorder)."""
     recorder = TraceRecorder(limit=limit, only_warp=only_warp,
                              num_lanes=runtime.sm.cfg.num_lanes)
-    runtime.sm.trace = recorder
+    bus = attach(runtime.sm, recorder)
     try:
         stats = runtime.launch(kernel_src, grid_dim, block_dim, args)
     finally:
-        runtime.sm.trace = None
+        bus.detach_sink(recorder)
+        if not bus.sinks:
+            runtime.sm.probes = None
     return stats, recorder

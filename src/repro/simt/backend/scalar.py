@@ -4,7 +4,7 @@ Per-lane interpretation of every instruction: the per-lane scalar loops
 formerly inlined in ``pipeline.py`` live here, behind the
 :class:`~repro.simt.backend.base.Backend` interface.  This backend is the
 semantic reference the vectorized backend is checked against, so it stays
-deliberately simple: no run-ahead scheduling, no operand-form tricks.
+deliberately simple: no fused regions, no operand-form tricks.
 
 Dispatch is decode-cached: at launch every static instruction is decoded
 once into a ``(handler, aux)`` pair — the handler is a bound method for
@@ -241,8 +241,6 @@ class ScalarBackend(Backend):
         stats.instrs_issued += 1
         stats.thread_instrs += len(lanes)
         stats.opcode_counts[instr.op] += 1
-        if sm.trace is not None:
-            sm.trace.record(cycle, warp.index, pc, instr, lanes)
 
         completion = max(cycle + cfg.pipeline_depth, sm._mem_ready)
         warp.ready_at = completion

@@ -20,14 +20,13 @@ register file detects (paper section 2.2):
   coalescing and bank-conflict equivalents of the per-lane timing model;
 - **NumPy lane arrays** — on wide SMs (>= 16 lanes) uncompressed integer
   operands run through uint32 array arithmetic;
-- **run-ahead scheduling** — when one warp is solo-runnable (every other
-  warp is blocked strictly further in the future), the scheduler issues
-  it back-to-back without rescanning, which is exact because the barrel
-  scheduler is deterministic and ties lose to the other warps;
-- **hot-trace specialisation** — straight-line decoded regions that
-  retire more than a threshold are compiled into a fused step list that
-  chains the vectorized handlers without per-instruction scheduling,
-  invalidated on every launch (programs are re-decoded per launch).
+- **hot-trace specialisation** — straight-line decoded regions whose
+  start is issued more than a threshold number of times are compiled
+  into a pre-decoded step list; a warp (or diverged thread group) that
+  enters one is fed a step per barrel-scheduler slot without selection,
+  fetch or per-instruction PCC checks, so the issue interleave is the
+  reference one.  Regions are invalidated on every launch (programs are
+  re-decoded per launch).
 
 Any case the fast paths do not cover (divergence, faulting lane subsets,
 sub-word or misaligned accesses, non-uniform metadata, CJALR, AMOs, ...)
@@ -70,8 +69,8 @@ _FAR_FUTURE = 1 << 62
 #: (list<->array conversion dominates below this).
 _NUMPY_MIN_LANES = 16
 
-#: Consecutive converged solo visits to one static instruction before the
-#: straight-line region starting there is compiled into a fused step list.
+#: Issues of one static instruction (by any warp or thread group) before
+#: the straight-line region starting there is compiled into a step list.
 _HOT_THRESHOLD = 32
 
 #: Upper bound on fused-region length (keeps step lists cache-friendly).
@@ -1476,15 +1475,15 @@ class VectorBackend(ScalarBackend):
         return True
 
     # ------------------------------------------------------------------
-    # Scheduler: solo-warp run-ahead + hot-trace regions
+    # Scheduler: barrel issue loop + hot-trace regions
     # ------------------------------------------------------------------
 
     def run(self, max_cycles):
         sm = self.sm
-        if sm.probes is not None or sm.trace is not None:
-            # Observed runs take the reference loop so idle probes, issue
-            # events and trace records appear exactly as in the scalar
-            # backend (the handlers themselves stay vectorized).
+        if sm.probes is not None:
+            # Observed runs take the reference loop so idle probes and
+            # issue events appear exactly as in the scalar backend (the
+            # handlers themselves stay vectorized).
             return ScalarBackend.run(self, max_cycles)
         from repro.simt.pipeline import KernelAbort, SoftwareTrap
 
@@ -1531,9 +1530,9 @@ class VectorBackend(ScalarBackend):
         meta_count_get = meta_counts.get if meta_counts is not None else None
 
         def issue_quiet(warp, cycle):
-            # issue() minus the probe/trace plumbing (both are None on
-            # this path) and with the per-issue constants hoisted into
-            # cells; bit-identical stats, faults and scheduling.
+            # issue() minus the probe plumbing (None on this path) and
+            # with the per-issue constants hoisted into cells;
+            # bit-identical stats, faults and scheduling.
             nonlocal thread_acc, gp_occ_acc, meta_occ_acc
             halted = warp.halted
             if True in halted:
@@ -1565,61 +1564,42 @@ class VectorBackend(ScalarBackend):
                     check_pcc(warp, pc, lanes)
             if lanes is all_lanes:
                 mask = full_mask
-                # Hot-trace barrel entry: a converged warp at the start
-                # of a compiled straight-line region queues the rest of
-                # the region's pre-decoded steps.  The scheduler then
-                # feeds it one step per issue slot via step_quiet below,
-                # preserving the exact round-robin interleave while
-                # skipping the selection, fetch and per-instruction PCC
-                # checks (hoisted here: the cached PCC decode must cover
-                # the whole region, and regions contain no control flow,
-                # halts or barriers, so convergence is preserved).
-                steps = regions_get(index)
-                if steps:
-                    if enable_cheri:
-                        c = pcc_cache.get(warp.pcc_meta[0])
-                        if c is not None and c[2] and c[0] <= pc and \
-                                steps[-1][0] + 4 <= c[1]:
-                            warp.rq = [steps, 1, None, 0]
-                    else:
-                        warp.rq = [steps, 1, None, 0]
-                elif steps is None:
-                    count = hot_get(index, 0) + 1
-                    hot[index] = count
-                    # The regions-dict entry is the promoted sentinel:
-                    # _build_region runs exactly once because the next
-                    # visit short-circuits on regions_get above.
-                    if count >= hot_threshold:
-                        regions[index] = self._build_region(index)
             else:
                 mask = 0
                 for lane in lanes:
                     mask |= 1 << lane
-                # Masked hot-trace entry: a diverged warp whose active
-                # lanes share a PC queues the longest region prefix its
-                # thread group is guaranteed to keep winning selection
-                # for (strict priority dominance over the frozen other
-                # groups), under its lane mask.  Regions are
-                # straight-line, so group membership, halted lanes and
-                # the group's PCC metadata are stable over the prefix.
-                steps = regions_get(index)
-                if steps:
-                    ok = True
-                    if enable_cheri:
-                        c = pcc_cache.get(warp.pcc_meta[lanes[0]])
-                        ok = (c is not None and c[2] and c[0] <= pc and
-                              steps[-1][0] + 4 <= c[1])
-                    if ok:
+            # Hot-trace entry: selected lanes at a region start queue its
+            # remaining pre-decoded steps, fed one per issue slot by
+            # step_quiet, so the round-robin interleave is unchanged.
+            # Selection, fetch and PCC checks are hoisted here: the
+            # cached PCC decode must cover the whole region, which has
+            # no control flow, halts or barriers.  The regions entry is
+            # the promoted sentinel (built once; the promoting visit
+            # already enters).
+            steps = regions_get(index)
+            if steps is None:
+                count = hot_get(index, 0) + 1
+                hot[index] = count
+                if count >= hot_threshold:
+                    steps = regions[index] = self._build_region(index)
+            if steps:
+                ok = True
+                if enable_cheri:
+                    c = pcc_cache.get(warp.pcc_meta[lanes[0]])
+                    ok = (c is not None and c[2] and c[0] <= pc and
+                          steps[-1][0] + 4 <= c[1])
+                if ok:
+                    if lanes is all_lanes:
+                        warp.rq = [steps, 1, None, 0]
+                    else:
+                        # A diverged group queues only the prefix it is
+                        # guaranteed to keep winning selection for,
+                        # under its lane mask.
                         prefix = masked_prefix(warp, lanes, steps)
                         if prefix >= 2:
                             sub = steps if prefix == len(steps) \
                                 else steps[:prefix]
                             warp.rq = [sub, 1, lanes, mask]
-                elif steps is None:
-                    count = hot_get(index, 0) + 1
-                    hot[index] = count
-                    if count >= hot_threshold:
-                        regions[index] = self._build_region(index)
             instr = program[index]
             sm._cycle = cycle
             sm._mem_ready = cycle
@@ -1664,7 +1644,7 @@ class VectorBackend(ScalarBackend):
             if lanes is None:
                 lanes = all_lanes
                 mask = full_mask
-            pc, instr, handler, aux, is_csc, op = steps[i]
+            pc, instr, handler, aux, is_csc = steps[i]
             sm._cycle = cycle
             sm._mem_ready = cycle
             sm._extra_issue = 0
@@ -1703,7 +1683,6 @@ class VectorBackend(ScalarBackend):
             w.rq = None  # stale queues from an aborted or prior program
         count = len(warps)
         live = count
-        issue = issue_quiet
         try:
             while live:
                 # done warps park at ready_at == _FAR_FUTURE, so the
@@ -1740,76 +1719,11 @@ class VectorBackend(ScalarBackend):
                 if rq is not None:
                     cycle = step_quiet(picked, cycle, rq)
                 else:
-                    cycle = issue(picked, cycle)
+                    cycle = issue_quiet(picked, cycle)
                 if cycle > max_cycles:
                     raise KernelAbort("cycle limit exceeded", cycle)
                 if picked.done:
                     live -= 1
-                    continue
-                if picked.in_barrier:
-                    continue
-                # Run-ahead: while every other runnable warp is blocked
-                # strictly beyond this warp's next issue slot, the barrel
-                # scheduler can only pick this warp again (its rotation
-                # slot scans it last, so ties go to the other warps).
-                # The scan stops at the first other warp ready at or
-                # before this warp's next slot: only whether the minimum
-                # clears that slot matters, not its exact value, and in
-                # the busy multi-warp case that first warp appears within
-                # a couple of probes.
-                epoch = sm._sched_epoch
-                ready = picked.ready_at
-                nxt = cycle if cycle >= ready else ready
-                others = _FAR_FUTURE
-                for w in warps:
-                    if w is not picked and not w.done and \
-                            not w.in_barrier:
-                        ra = w.ready_at
-                        if ra <= nxt:
-                            others = ra
-                            break
-                        if ra < others:
-                            others = ra
-                while True:
-                    ready = picked.ready_at
-                    nxt = cycle if cycle >= ready else ready
-                    if nxt >= others:
-                        break
-                    cycle = nxt
-                    rq = picked.rq
-                    if rq is not None:
-                        # Solo: drain the queued region suffix
-                        # back-to-back instead of one step per slot.
-                        picked.rq = None
-                        cycle = self._run_region(picked, rq[0][rq[1]:],
-                                                 cycle, others, max_cycles,
-                                                 KernelAbort, icounts,
-                                                 rq[2], rq[3])
-                        continue
-                    ra = self._region_at(picked)
-                    if ra is not None:
-                        cycle = self._run_region(picked, ra[0], cycle,
-                                                 others, max_cycles,
-                                                 KernelAbort, icounts,
-                                                 ra[1], ra[2])
-                        continue
-                    cycle = issue(picked, cycle)
-                    if cycle > max_cycles:
-                        raise KernelAbort("cycle limit exceeded", cycle)
-                    if picked.done:
-                        live -= 1
-                        break
-                    if picked.in_barrier:
-                        break
-                    if sm._sched_epoch != epoch:
-                        # A barrier release changed other warps' state.
-                        epoch = sm._sched_epoch
-                        others = _FAR_FUTURE
-                        for w in warps:
-                            if w is not picked and not w.done and \
-                                    not w.in_barrier and \
-                                    w.ready_at < others:
-                                others = w.ready_at
         except (CapabilityFault, SoftwareTrap):
             if self.fault_cycle is None:
                 self.fault_cycle = cycle
@@ -1827,74 +1741,6 @@ class VectorBackend(ScalarBackend):
             stats.gp_vrf_occupancy_integral += gp_occ_acc
             stats.meta_vrf_occupancy_integral += meta_occ_acc
         return cycle
-
-    def _region_at(self, warp):
-        """The fused region entry at this warp's PC: ``(steps, lanes,
-        mask)`` or None.  ``lanes`` is None for a full-warp entry.
-
-        A full-warp entry needs full-mask convergence (PC and, under
-        dynamic PCC, metadata) with no halted lane.  A diverged (or
-        partially halted) warp can still enter under a mask when its
-        selected thread group sits at a region start: ``steps`` is then
-        truncated to the prefix the group is guaranteed to keep winning
-        selection for (see :meth:`_masked_prefix`).  Both shapes also
-        need a known hot straight-line region and a PCC whose cached
-        decode covers the whole region so the per-instruction fetch
-        checks can be hoisted without changing fault behaviour.
-        """
-        sm = self.sm
-        pcs = warp.pcs
-        num_lanes = sm._num_lanes
-        lanes = None
-        if True in warp.halted:
-            pc0, lanes = sm._select_threads(warp)
-            if pc0 is None:
-                return None
-        else:
-            pc0 = pcs[0]
-            if pcs.count(pc0) != num_lanes or (
-                    sm._dynamic_pcc and
-                    warp.pcc_meta.count(warp.pcc_meta[0]) != num_lanes):
-                pc0, lanes = sm._select_threads(warp)
-                if lanes is sm._all_lanes:
-                    lanes = None
-        index = pc0 >> 2
-        regions = self._regions
-        steps = regions.get(index)
-        if not steps:
-            if steps is not None:
-                return None  # known non-region start (empty sentinel)
-            if not 0 <= index < len(sm.program):
-                return None  # issue() raises the unmapped-fetch trap
-            hot = self._hot
-            count = hot.get(index, 0) + 1
-            hot[index] = count
-            if count < self._hot_threshold:
-                return None
-            steps = self._build_region(index)
-            regions[index] = steps
-            if not steps:
-                return None
-        if sm.cfg.enable_cheri:
-            meta0 = warp.pcc_meta[lanes[0] if lanes is not None else 0]
-            cached = sm._pcc_cache.get(meta0)
-            if cached is None:
-                return None  # first fetch populates the cache via issue()
-            base, top, ok_perms = cached
-            if not ok_perms or not (base <= pc0
-                                    and steps[-1][0] + 4 <= top):
-                return None  # the per-instruction check faults precisely
-        if lanes is None:
-            return steps, None, 0
-        prefix = self._masked_prefix(warp, lanes, steps)
-        if prefix < 2:
-            return None
-        if prefix < len(steps):
-            steps = steps[:prefix]
-        mask = 0
-        for lane in lanes:
-            mask |= 1 << lane
-        return steps, lanes, mask
 
     def _masked_prefix(self, warp, lanes, steps):
         """Longest region prefix the selected group keeps winning.
@@ -1938,7 +1784,7 @@ class VectorBackend(ScalarBackend):
 
     def _build_region(self, index):
         """Compile the straight-line run starting at ``index`` into steps
-        of (pc, instr, handler, aux, is_csc, op), or the empty tuple if
+        of (pc, instr, handler, aux, is_csc), or the empty tuple if
         too short (stored as a falsy known-non-region sentinel)."""
         sm = self.sm
         decoded = sm._decoded
@@ -1951,90 +1797,9 @@ class VectorBackend(ScalarBackend):
             if handler.__func__ in _REGION_STOP:
                 break
             instr = program[i]
-            steps.append((i << 2, instr, handler, aux,
-                          instr.op is Op.CSC, instr.op))
+            steps.append((i << 2, instr, handler, aux, instr.op is Op.CSC))
             i += 1
         return steps if len(steps) >= 2 else ()
-
-    def _run_region(self, warp, steps, cycle, others, max_cycles,
-                    kernel_abort, icounts, lanes=None, mask=0):
-        """Execute fused region steps back-to-back for a solo warp.
-
-        Replays the exact per-issue accounting of :meth:`issue` minus the
-        hoisted selection and fetch checks.  ``lanes``/``mask`` carry a
-        masked entry's thread group (None = full warp).  Stops at the
-        region end or as soon as the next issue slot would no longer be
-        solo.  Returns the cycle after the last consumed issue slot.
-        Per-instruction issue counts go into the caller's ``icounts``
-        list (flushed to the stats object by :meth:`run`); thread counts
-        are flushed here so a fault mid-region leaves the same stats as
-        per-issue accounting would.
-        """
-        sm = self.sm
-        stats = sm.stats
-        cfg = sm.cfg
-        depth = cfg.pipeline_depth
-        shared_vrf = cfg.shared_vrf
-        single_port = cfg.metadata_srf_single_port
-        if lanes is None:
-            lanes = sm._all_lanes
-            mask = sm._full_mask
-        active = len(lanes)
-        gp = sm.gp
-        meta = sm.meta
-        gp_pool = getattr(gp, "pool", None)
-        gp_counts = gp_pool._counts if gp_pool is not None else None
-        meta_pool = getattr(meta, "pool", None) if meta is not None else None
-        meta_counts = meta_pool._counts if meta_pool is not None else None
-        i = 0
-        n = len(steps)
-        done_steps = 0
-        try:
-            while True:
-                pc, instr, handler, aux, is_csc, op = steps[i]
-                sm._cycle = cycle
-                sm._mem_ready = cycle
-                sm._extra_issue = 0
-                sm._gp_vec_touch = False
-                sm._meta_vec_touch = False
-                try:
-                    handler(warp, instr, pc, lanes, mask, aux)
-                except CapabilityFault:
-                    if self.fault_cycle is None:
-                        self.fault_cycle = cycle
-                    raise
-                extra = sm._extra_issue
-                if shared_vrf and sm._gp_vec_touch and sm._meta_vec_touch:
-                    extra += 1
-                    stats.stall_shared_vrf += 1
-                if single_port and is_csc:
-                    extra += 1
-                    stats.stall_csc_operand += 1
-                icounts[pc >> 2] += 1
-                done_steps += 1
-                completion = cycle + depth
-                if sm._mem_ready > completion:
-                    completion = sm._mem_ready
-                warp.ready_at = completion
-                width = 1 + extra
-                if gp_counts is not None:
-                    stats.gp_vrf_occupancy_integral += \
-                        gp_counts.get(gp, 0) * width
-                if meta_counts is not None:
-                    stats.meta_vrf_occupancy_integral += \
-                        meta_counts.get(meta, 0) * width
-                cycle += width
-                if cycle > max_cycles:
-                    raise kernel_abort("cycle limit exceeded", cycle)
-                i += 1
-                if i >= n:
-                    return cycle
-                nxt = cycle if cycle >= completion else completion
-                if nxt >= others:
-                    return cycle
-                cycle = nxt
-        finally:
-            stats.thread_instrs += active * done_steps
 
 
 def _np_int(key, a, b):

@@ -137,13 +137,6 @@ class StreamingMultiprocessor:
         self._zero_lanes = [0] * self._num_lanes
         self._dynamic_pcc = (self.cfg.enable_cheri
                              and not self.cfg.static_pc_metadata)
-        #: Bumped whenever a barrier release changes other warps'
-        #: readiness; lets the vector backend's run-ahead scheduler know
-        #: its cached view of the other warps went stale.
-        self._sched_epoch = 0
-        #: Optional instruction-trace sink: an object with a
-        #: ``record(cycle, warp, pc, instr, lanes)`` method.
-        self.trace = None
         #: Optional :class:`repro.obs.ProbeBus`.  ``None`` (the default)
         #: keeps the hot path untouched: every hook below is guarded by a
         #: single ``self.probes is not None`` check, so simulated
@@ -345,12 +338,6 @@ class StreamingMultiprocessor:
                 best = (pc, group_lanes)
         return best
 
-    def _depth_at(self, pc):
-        index = pc >> 2
-        if 0 <= index < len(self.program):
-            return self.program[index].depth
-        return 0
-
     def _check_pcc(self, warp, pc, lanes):
         """One program-counter-capability bounds check per SM per fetch."""
         meta = warp.pcc_meta[lanes[0]]
@@ -368,22 +355,6 @@ class StreamingMultiprocessor:
         if not (base <= pc and pc + 4 <= top):
             raise BoundsViolation("instruction fetch outside PCC bounds",
                                   address=pc, pc=pc)
-
-    # ------------------------------------------------------------------
-    # Backend delegation shims (kept for tests/tooling)
-    # ------------------------------------------------------------------
-
-    def _issue(self, warp, cycle):
-        """Issue one instruction for one warp (delegates to the backend)."""
-        return self.backend.issue(warp, cycle)
-
-    def _decode_instr(self, instr):
-        return self.backend.decode(instr)
-
-    def _execute(self, warp, instr, pc, lanes, mask):
-        """Decode-and-execute one instruction (non-cached dispatch)."""
-        handler, aux = self.backend.decode(instr)
-        handler(warp, instr, pc, lanes, mask, aux)
 
     def _advance(self, warp, lanes, next_pc):
         pcs = warp.pcs
@@ -593,7 +564,6 @@ class StreamingMultiprocessor:
                 other.in_barrier = False
                 other.ready_at = self._cycle + self.cfg.pipeline_depth
             arrived.clear()
-            self._sched_epoch += 1
 
 
 # Re-export the decode dispatch tables from the scalar backend (shared

@@ -111,6 +111,17 @@ def run_both(prog, **kwargs):
     return scalar, vector["backend"]
 
 
+def _faulting_step(backend):
+    """``(pc, lanes)`` of the queued region step the first warp was
+    executing when a fault escaped (``lanes`` is None for a full-warp
+    entry), or None when it faulted outside a region."""
+    rq = backend.sm.warps[0].rq
+    if rq is None:
+        return None
+    steps, i, lanes, _ = rq
+    return steps[i][0], lanes
+
+
 def heap_slots(num_threads, base=HEAP_BASE):
     return [base + 4 * t for t in range(num_threads)]
 
@@ -418,8 +429,9 @@ class TestMidRegionFault:
             addr = HEAP_BASE
             if t == bad_lane:
                 # This lane starts deeper into the window, so it walks
-                # out of bounds iterations before the others.
-                addr = HEAP_BASE + 4 * (window_words - 2)
+                # out of bounds iterations before the others (but after
+                # the loop body has been promoted to a region).
+                addr = HEAP_BASE + 4 * (window_words - 6)
             caps.append(cap.set_addr(addr))
         regs = {5: [trips] * num_lanes}
         return prog, regs, {6: caps}
@@ -442,6 +454,8 @@ class TestMidRegionFault:
         assert obs["fault"] is not None
         assert obs["fault"][0] == "BoundsViolation"
         assert 0x8 in _formed(backend)
+        # The fault escaped from the CLW as a full-warp region step.
+        assert _faulting_step(backend) == (0xC, None)
 
     def test_clean_when_window_covers_the_walk(self, eager_regions,
                                                num_lanes):
@@ -483,7 +497,7 @@ class TestMaskedMidRegionFault:
         for t in range(num_lanes):
             addr = HEAP_BASE
             if t == bad_lane:
-                addr = HEAP_BASE + 4 * (window_words - 2)
+                addr = HEAP_BASE + 4 * (window_words - 6)
             caps.append(cap.set_addr(addr))
         regs = {5: [trips] * num_lanes,
                 12: [1 if t == parked_lane else 0
@@ -512,6 +526,10 @@ class TestMaskedMidRegionFault:
         assert obs["fault"][0] == "BoundsViolation"
         assert 0xC in _formed(backend)
         assert any(prefix >= 2 for prefix in masked_entries)
+        # The fault escaped from the CLW as a masked region step.
+        pc, lanes = _faulting_step(backend)
+        assert pc == 0x10
+        assert lanes is not None and 0 < len(lanes) < num_lanes
 
     def test_clean_masked_walk(self, eager_regions, masked_entries,
                                num_lanes):

@@ -203,7 +203,7 @@ class TestTracing:
         assert first.pc == 0
         assert first.active_lanes == [0, 1, 2, 3]
         # Tracing must be detached afterwards.
-        assert rt.sm.trace is None
+        assert rt.sm.probes is None
 
     def test_limit_and_dropped(self):
         recorder = TraceRecorder(limit=2)
