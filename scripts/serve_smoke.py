@@ -4,8 +4,10 @@
 Starts ``repro serve``, submits a small benchmark grid and asserts the
 streamed lifecycle reaches completion; then restarts the server on the
 same disk cache, resubmits the identical grid and asserts every cell is
-served as a cache hit without touching a worker; both server sessions
-are drained cleanly (the drain must write a service manifest).
+served as a cache hit without touching a worker, and that resubmitting
+it many times more is answered from the job table while the server's
+tables stay within their caps; both server sessions are drained cleanly
+(the drain must write a service manifest).
 
 Exits non-zero on the first violated expectation.
 
@@ -27,9 +29,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.serve.client import ServeClient  # noqa: E402
+from repro.serve.scheduler import (  # noqa: E402
+    MAX_FINISHED_GRIDS,
+    MAX_TERMINAL_JOBS,
+)
 
 GRID = dict(benchmarks=["VecAdd", "Reduce"], configs=["baseline"],
             overrides={"num_warps": 4, "num_lanes": 4})
+#: Resubmissions of the grid in the cached session: more than the
+#: finished-grid cap, so the grid table has to evict to stay within it.
+RESUBMITS = MAX_FINISHED_GRIDS + 44
 
 
 def start_server(workdir):
@@ -74,6 +83,7 @@ def run_session(workdir, expect_cached):
             assert names.count("cached") == 2, \
                 "restart must serve the grid from the disk cache, " \
                 "got events %r" % names
+            check_resubmissions(port)
         else:
             assert names.count("done") == 2, \
                 "fresh submission must simulate, got events %r" % names
@@ -105,6 +115,32 @@ def run_session(workdir, expect_cached):
     finally:
         if process.poll() is None:
             process.kill()
+
+
+def check_resubmissions(port):
+    """Repeats of a completed grid are memo hits that the server does
+    not accumulate: nothing executes and the tables stay capped."""
+    cells = len(GRID["benchmarks"]) * len(GRID["configs"])
+    with ServeClient(port=port, timeout=60.0) as client:
+        before = client.stats()["stats"]
+        for _ in range(RESUBMITS):
+            reply = client.submit(**GRID)
+            assert [job["state"] for job in reply["jobs"]] == \
+                ["cached"] * cells, "resubmission was not a memo hit"
+        after = client.stats()["stats"]
+    memo_hits = after["memo_hits"] - before["memo_hits"]
+    assert memo_hits == RESUBMITS * cells, \
+        "%d resubmission(s) gave %d memo hit(s)" % (RESUBMITS, memo_hits)
+    assert after["executed"] == before["executed"], \
+        "a resubmission executed"
+    assert after["grids_retained"] <= MAX_FINISHED_GRIDS, \
+        "%d grids retained" % after["grids_retained"]
+    assert after["jobs_retained"] <= MAX_TERMINAL_JOBS, \
+        "%d jobs retained" % after["jobs_retained"]
+    print("[cached] %d resubmissions: %d memo hits, %d grid(s) and %d "
+          "job(s) retained" % (RESUBMITS, memo_hits,
+                               after["grids_retained"],
+                               after["jobs_retained"]))
 
 
 def check_telemetry(manifest_path, phase, expect_worker):

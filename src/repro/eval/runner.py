@@ -126,17 +126,20 @@ class RunnerStats:
     misses: int = 0
     sim_seconds: float = 0.0
     manifest_write_failures: int = 0
+    #: Unreadable disk-cache entries dropped (and re-simulated) on load.
+    corrupt_entries: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
 
     def bump(self, memo_hits=0, disk_hits=0, misses=0, sim_seconds=0.0,
-             manifest_write_failures=0):
+             manifest_write_failures=0, corrupt_entries=0):
         with self._lock:
             self.memo_hits += memo_hits
             self.disk_hits += disk_hits
             self.misses += misses
             self.sim_seconds += sim_seconds
             self.manifest_write_failures += manifest_write_failures
+            self.corrupt_entries += corrupt_entries
 
     def snapshot(self):
         with self._lock:
@@ -144,20 +147,22 @@ class RunnerStats:
                         misses=self.misses,
                         sim_seconds=round(self.sim_seconds, 3),
                         manifest_write_failures=
-                        self.manifest_write_failures)
+                        self.manifest_write_failures,
+                        corrupt_entries=self.corrupt_entries)
 
     def reset(self):
         with self._lock:
             self.memo_hits = self.disk_hits = self.misses = 0
             self.sim_seconds = 0.0
             self.manifest_write_failures = 0
+            self.corrupt_entries = 0
 
 
 #: Counters for this process (reset with ``RUNNER_STATS.reset()``).
 RUNNER_STATS = RunnerStats()
 
-#: Guards the in-process memo (``_CACHE``) and the lazy source digest;
-#: the per-counter lock lives inside :class:`RunnerStats`.
+#: Guards the in-process memo (``_CACHE``) and the lazy source and
+#: kernel digests; the per-counter lock lives inside :class:`RunnerStats`.
 _LOCK = threading.RLock()
 
 _CACHE = {}
@@ -235,6 +240,9 @@ def _sources_digest():
     return _sources_digest_memo
 
 
+_kernel_digest_memo = {}
+
+
 def _kernel_digest(name, mode, opt=0):
     """Hash of the benchmark's compiled kernel binaries under ``mode``.
 
@@ -242,22 +250,30 @@ def _kernel_digest(name, mode, opt=0):
     finds them: every :class:`KernelSource` bound in the benchmark's
     module, compiled at the run's optimization level — so -O0 and -O1
     results can never alias even before the config repr is hashed.
-    Compiling is milliseconds; simulating is seconds, so paying a compile
-    per cache probe is a bargain for content-exact keys.
+    Memoised per (benchmark, mode, opt) for the process lifetime, like
+    :func:`_sources_digest`: compile output is a pure function of the
+    sources loaded at start-up, so each kernel compiles once per process
+    and a cache key after that costs a few hashes.
     """
-    import inspect
+    memo_key = (name, mode, opt)
+    with _LOCK:
+        digest = _kernel_digest_memo.get(memo_key)
+        if digest is not None:
+            return digest
+        import inspect
 
-    from repro.nocl.compiler import compile_kernel
-    from repro.nocl.dsl import KernelSource
-    bench = ALL_BENCHMARKS[name]
-    mod = inspect.getmodule(type(bench))
-    h = hashlib.sha256()
-    for attr, obj in sorted(vars(mod).items()):
-        if isinstance(obj, KernelSource):
-            words = compile_kernel(obj, mode, opt=opt).to_binary()
-            h.update(attr.encode())
-            h.update(repr(words).encode())
-    return h.digest()
+        from repro.nocl.compiler import compile_kernel
+        from repro.nocl.dsl import KernelSource
+        bench = ALL_BENCHMARKS[name]
+        mod = inspect.getmodule(type(bench))
+        h = hashlib.sha256()
+        for attr, obj in sorted(vars(mod).items()):
+            if isinstance(obj, KernelSource):
+                words = compile_kernel(obj, mode, opt=opt).to_binary()
+                h.update(attr.encode())
+                h.update(repr(words).encode())
+        digest = _kernel_digest_memo[memo_key] = h.digest()
+    return digest
 
 
 def _disk_key(name, mode, config, scale):
@@ -278,7 +294,9 @@ def _disk_load(name, config_name, mode, config, scale):
         with open(path, "rb") as stream:
             result = pickle.load(stream)
     except Exception:
-        # Corrupt/truncated entry: treat as a miss and drop it.
+        # Corrupt/truncated entry: count it, drop it, treat as a miss (the
+        # re-simulation rewrites it).
+        RUNNER_STATS.bump(corrupt_entries=1)
         try:
             os.unlink(path)
         except OSError:

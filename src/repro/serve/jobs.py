@@ -7,7 +7,10 @@ disk-cache machinery (:func:`repro.eval.runner.job_key`): the key covers
 the compiled kernel binaries, the fully-resolved SM configuration, the
 scale, and the simulator source digest.  Equal keys therefore guarantee
 bit-identical statistics, which is what makes single-flight dedup and
-cross-restart cache hits sound.
+cross-restart cache hits sound.  Both digests describe the sources the
+process loaded and are memoised for its lifetime, so a key costs a
+compile only the first time a process sees a (benchmark, mode, opt);
+a server must be restarted to pick up edited simulator sources.
 
 ``kind="sleep"`` jobs exist for the service's own integration tests
 (deterministic long-running work for exercising timeout, crash-retry,
@@ -145,9 +148,8 @@ def compute_key(spec):
     Eval jobs reuse the runner's disk-cache key wholesale (plus a
     ``lockstep`` discriminator for verified runs, which execute under a
     checker and are not interchangeable with plain runs in the job
-    table).  Compiling the kernels for the digest costs milliseconds —
-    cheap insurance that a stale server can never serve results from
-    edited sources.
+    table).  The kernel digest inside the key is memoised per process,
+    so only the first key for a (benchmark, mode, opt) compiles.
     """
     if spec.kind == "sleep":
         digest = hashlib.sha256(

@@ -50,6 +50,7 @@ class ServeMetrics:
         ("jobs_accepted", "unique jobs entering the table"),
         ("dedup_hits", "submissions coalesced onto in-flight jobs"),
         ("memo_hits", "served from the server's job table"),
+        ("jobs_evicted", "terminal jobs dropped from the job table (LRU)"),
         ("cache_hits", "served from the runner disk cache"),
         ("executed", "jobs that ran on a worker"),
         ("failed", "jobs that reached the failed state"),

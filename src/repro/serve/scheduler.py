@@ -11,9 +11,19 @@ of non-terminal jobs past ``max_pending`` is rejected whole with a
 **Single-flight dedup** is by content-addressed job key.  A submitted
 cell whose key matches an in-flight job attaches to that job (both
 submitters stream its events and receive the one result); a key matching
-an already-completed job in the table is served from the server memo;
+a completed job still in the table is served from the server memo;
 a key whose result sits in the runner's disk cache completes instantly
 as ``cached``.  Only genuinely novel work reaches the worker pool.
+
+**Bounded tables** keep a long-lived server's memory flat.  The job
+table keeps at most ``MAX_TERMINAL_JOBS`` terminal jobs, least recently
+used first out; a memo hit refreshes its job.  An evicted key falls
+through to the disk-cache probe on its next submission, so the runner's
+disk cache is the one durable store.  At most ``MAX_FINISHED_GRIDS``
+finished grids that nobody watches stay available to ``subscribe``,
+also LRU.  In-flight jobs, and grids that are unfinished or watched, are
+never evicted.  A grid holds its :class:`Job` objects rather than ids,
+so it never looks up an evicted job.
 
 **Failure policy**: a worker that *crashes* (killed, segfault, OOM) gets
 its job requeued up to ``max_retries`` times; a job that exceeds
@@ -23,7 +33,7 @@ execution *raises* is failed immediately with the worker kept alive.
 """
 
 import time
-from collections import deque
+from collections import OrderedDict, deque
 
 from repro.obs.telemetry import Tracer
 from repro.serve import protocol
@@ -35,6 +45,11 @@ from repro.serve.jobs import (
     RUNNING,
     TERMINAL,
 )
+
+#: Terminal jobs the job table keeps (serve-mixed's working set is 12).
+MAX_TERMINAL_JOBS = 1024
+#: Finished grids with no watchers kept for ``subscribe`` replay.
+MAX_FINISHED_GRIDS = 256
 
 
 class Backpressure(Exception):
@@ -63,7 +78,7 @@ class Job:
         self.finished_at = None
         self.payload = None
         self.error = None
-        self.grids = set()
+        self.grids = set()      # grids to emit into (until terminal)
         self.done_event = asyncio.Event()
         self.span = None        # "serve.job" span (submitted -> terminal)
         self.queue_span = None  # "serve.queue" span (submitted -> assigned)
@@ -100,10 +115,13 @@ class Scheduler:
         self.job_timeout = job_timeout
         self.max_retries = max_retries
         self.log = log or (lambda text: None)
-        self.jobs = {}       # job id -> Job (terminal jobs stay: memo)
+        self.jobs = {}       # job id -> Job (in flight or retained)
         self.by_key = {}     # job key -> Job
         self.pending = deque()
-        self.grids = {}      # grid id -> {"jobs": [...], "watchers": set()}
+        self.grids = {}      # grid id -> {"jobs": {id: Job}, "watchers"}
+        self._live = {}      # job id -> Job, not yet terminal
+        self._terminal = OrderedDict()   # job id -> Job, LRU order
+        self._finished = OrderedDict()   # finished unwatched grid ids, LRU
         self.draining = False
         self._job_ids = 0
         self._grid_ids = 0
@@ -111,19 +129,20 @@ class Scheduler:
     # -- admission ---------------------------------------------------------
 
     def in_flight(self):
-        return sum(1 for job in self.jobs.values() if not job.terminal)
+        return len(self._live)
 
     def running(self):
-        return sum(1 for job in self.jobs.values()
+        return sum(1 for job in self._live.values()
                    if job.state == RUNNING)
 
     def admit(self, cells, parent_span=None):
         """Admit one submission.
 
         ``cells`` is a list of ``(spec, key, cached_payload)`` triples —
-        keys and cache probes are computed by the server off-loop (they
-        compile kernels).  Returns ``(grid_id, jobs)``.  Raises
-        :class:`Backpressure` when the novel cells don't fit.
+        keys and cache probes are computed by the server off-loop (a
+        first key compiles kernels; a probe reads the disk cache).
+        Returns ``(grid_id, jobs)``.  Raises :class:`Backpressure` when
+        the novel cells don't fit.
         ``parent_span`` (the server's submit span) parents the per-job
         trace spans when tracing is on.
         """
@@ -136,7 +155,7 @@ class Scheduler:
         self.metrics.submissions += 1
         self._grid_ids += 1
         grid_id = "g%04d" % self._grid_ids
-        grid = {"jobs": [], "watchers": set()}
+        grid = {"jobs": {}, "watchers": set()}
         self.grids[grid_id] = grid
         jobs = []
         for spec, key, cached_payload in cells:
@@ -144,9 +163,11 @@ class Scheduler:
             if job is not None:
                 if job.terminal:
                     self.metrics.memo_hits += 1
+                    self._terminal.move_to_end(job.id)
                     hit = "memo"
                 else:
                     self.metrics.dedup_hits += 1
+                    job.grids.add(grid_id)
                     hit = "dedup"
                 if self.tracer is not None and parent_span is not None:
                     # Instant marker: this submission coalesced onto an
@@ -170,6 +191,7 @@ class Scheduler:
                     job.payload = cached_payload
                     job.finished_at = time.monotonic()
                     job.done_event.set()
+                    self._terminal[job.id] = job
                     self.metrics.cache_hits += 1
                     if job.span is not None:
                         job.span.set_attr("state", CACHED)
@@ -178,10 +200,10 @@ class Scheduler:
                     if self.tracer is not None:
                         job.queue_span = self.tracer.start_span(
                             "serve.queue", parent=job.span)
+                    self._live[job.id] = job
+                    job.grids.add(grid_id)
                     self.pending.append(job)
-            job.grids.add(grid_id)
-            if job.id not in grid["jobs"]:
-                grid["jobs"].append(job.id)
+            grid["jobs"].setdefault(job.id, job)
             jobs.append(job)
         self.metrics.note_pending(len(self.pending))
         for job in jobs:
@@ -189,6 +211,7 @@ class Scheduler:
             # jobs; cached/done/… replay for deduped ones).
             self._emit(job, job.state, grids=(grid_id,))
         self._check_grid_done(grid_id)
+        self._evict()
         self.dispatch()
         return grid_id, jobs
 
@@ -219,19 +242,19 @@ class Scheduler:
     # -- pool message handlers --------------------------------------------
 
     def on_started(self, worker_id, job_id):
-        job = self.jobs.get(job_id)
-        if job is None or job.terminal:
+        job = self._live.get(job_id)
+        if job is None:
             return
         job.state = RUNNING
         self._emit(job, "started", worker=worker_id,
                    attempt=job.attempts + 1)
 
     def on_done(self, worker_id, job_id, payload):
-        job = self.jobs.get(job_id)
+        job = self._live.get(job_id)
         worker = self.pool.by_id(worker_id)
         if worker is not None and worker.job_id == job_id:
             self.pool.release(worker)
-        if job is None or job.terminal:
+        if job is None:
             self.dispatch()
             return  # late duplicate after a racy retry: drop
         if isinstance(payload, dict):
@@ -255,19 +278,19 @@ class Scheduler:
         self._finish(job)
 
     def on_error(self, worker_id, job_id, message):
-        job = self.jobs.get(job_id)
+        job = self._live.get(job_id)
         worker = self.pool.by_id(worker_id)
         if worker is not None and worker.job_id == job_id:
             self.pool.release(worker)
-        if job is None or job.terminal:
+        if job is None:
             self.dispatch()
             return
         self._fail(job, "execution failed: %s" % message)
 
     def on_casualty(self, job_id, kill_reason):
         """A worker died while owning ``job_id`` (reaped by the server)."""
-        job = self.jobs.get(job_id)
-        if job is None or job.terminal:
+        job = self._live.get(job_id)
+        if job is None:
             self.dispatch()
             return
         if kill_reason == "timeout":
@@ -302,7 +325,7 @@ class Scheduler:
         for worker in self.pool.workers:
             if worker.job_id is None or worker.kill_reason is not None:
                 continue
-            job = self.jobs.get(worker.job_id)
+            job = self._live.get(worker.job_id)
             if job is None or job.assigned_at is None:
                 continue
             if now - job.assigned_at > self.job_timeout:
@@ -335,10 +358,26 @@ class Scheduler:
             job.span = None
 
     def _finish(self, job):
+        """Book-keeping after ``job`` turned terminal (it has emitted)."""
+        del self._live[job.id]
+        self._terminal[job.id] = job
         for grid_id in job.grids:
             self._emit_grid_progress(grid_id)
             self._check_grid_done(grid_id)
+        job.grids.clear()  # terminal: it never emits again
+        self._evict()
         self.dispatch()
+
+    def _evict(self):
+        """Trim the terminal-job and finished-grid LRUs to their caps."""
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            _, job = self._terminal.popitem(last=False)
+            del self.jobs[job.id]
+            del self.by_key[job.key]
+            self.metrics.jobs_evicted += 1
+        while len(self._finished) > MAX_FINISHED_GRIDS:
+            grid_id, _ = self._finished.popitem(last=False)
+            del self.grids[grid_id]
 
     # -- event fan-out -----------------------------------------------------
 
@@ -348,21 +387,31 @@ class Scheduler:
         if grid is None:
             return None
         grid["watchers"].add(queue)
-        replay = [protocol.event(self.jobs[job_id].state,
-                                 **self._job_fields(self.jobs[job_id]))
-                  for job_id in grid["jobs"]]
-        return replay
+        self._finished.pop(grid_id, None)  # watched grids are pinned
+        return [protocol.event(job.state, **self._job_fields(job))
+                for job in grid["jobs"].values()]
 
     def unwatch(self, grid_id, queue):
         grid = self.grids.get(grid_id)
-        if grid is not None:
-            grid["watchers"].discard(queue)
+        if grid is None:
+            return
+        grid["watchers"].discard(queue)
+        if not grid["watchers"] and self.grid_done(grid_id):
+            self._finished[grid_id] = None
+            self._evict()
 
     def grid_done(self, grid_id):
         grid = self.grids.get(grid_id)
         if grid is None:
             return False
-        return all(self.jobs[job_id].terminal for job_id in grid["jobs"])
+        return all(job.terminal for job in grid["jobs"].values())
+
+    def grid_done_event(self, grid_id):
+        """The ``grid_done`` event of a finished grid."""
+        jobs = self.grids[grid_id]["jobs"].values()
+        failed = sum(1 for job in jobs if job.state == FAILED)
+        return protocol.event("grid_done", grid=grid_id, jobs=len(jobs),
+                              failed=failed)
 
     def _job_fields(self, job, **extra):
         fields = {"id": job.id, "key": job.key, "label": job.spec.label(),
@@ -383,19 +432,15 @@ class Scheduler:
         grid = self.grids.get(grid_id)
         if grid is None:
             return
-        done = sum(1 for job_id in grid["jobs"]
-                   if self.jobs[job_id].terminal)
+        done = sum(1 for job in grid["jobs"].values() if job.terminal)
         self._push(grid_id, protocol.event(
             "progress", grid=grid_id, done=done, total=len(grid["jobs"])))
 
     def _check_grid_done(self, grid_id):
         if self.grid_done(grid_id):
-            grid = self.grids[grid_id]
-            failed = sum(1 for job_id in grid["jobs"]
-                         if self.jobs[job_id].state == FAILED)
-            self._push(grid_id, protocol.event(
-                "grid_done", grid=grid_id, jobs=len(grid["jobs"]),
-                failed=failed))
+            self._push(grid_id, self.grid_done_event(grid_id))
+            if not self.grids[grid_id]["watchers"]:
+                self._finished[grid_id] = None
 
     def _push(self, grid_id, message):
         grid = self.grids.get(grid_id)
@@ -408,8 +453,7 @@ class Scheduler:
     # -- drain -------------------------------------------------------------
 
     def all_idle(self):
-        return not self.pending and self.running() == 0 and \
-            self.in_flight() == 0
+        return not self.pending and not self._live
 
     def job_table(self, payloads=False):
         return [self.jobs[job_id].summary(payload=payloads)

@@ -5,10 +5,10 @@ asyncio event loop.  Two things run off-loop and bridge back in:
 
 - a reader thread drains the pool's (blocking) result queue and posts
   each message onto the loop with ``call_soon_threadsafe``;
-- job-key computation and disk-cache probes (they compile kernels —
-  milliseconds, but real work) run in the default thread executor,
-  which is also why ``repro.eval.runner``'s memo and counters are
-  lock-protected.
+- job-key computation and disk-cache probes (a process's first key for
+  a benchmark compiles its kernels; a probe reads a pickle) run in the
+  default thread executor, which is also why ``repro.eval.runner``'s
+  memos and counters are lock-protected.
 
 A periodic monitor tick reaps crashed workers, enforces per-job
 timeouts, and redispatches.  ``drain`` flips the server into
@@ -25,13 +25,7 @@ import time
 
 from repro.obs.telemetry import MetricsRegistry, Tracer
 from repro.serve import protocol
-from repro.serve.jobs import (
-    FAILED,
-    GridError,
-    compute_key,
-    expand_grid,
-    probe_cache,
-)
+from repro.serve.jobs import GridError, compute_key, expand_grid, probe_cache
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pool import WorkerPool
 from repro.serve.scheduler import Backpressure, Scheduler
@@ -251,6 +245,8 @@ class ServeServer:
             num_workers=len(self.pool.workers),
             pending=len(self.scheduler.pending),
             running=self.scheduler.running())
+        snapshot["jobs_retained"] = len(self.scheduler.jobs)
+        snapshot["grids_retained"] = len(self.scheduler.grids)
         snapshot["draining"] = self.scheduler.draining
         snapshot["host"] = self.host
         snapshot["port"] = self.port
@@ -304,14 +300,12 @@ class ServeServer:
             await self._op_submit(request, writer)
         elif op == "subscribe":
             grid_id = request.get("grid")
-            if grid_id not in self.scheduler.grids:
+            streamed = await self._stream_grid(
+                grid_id, writer, protocol.reply(request, grid=grid_id))
+            if not streamed:
                 await self._send(writer, protocol.error(
                     request, protocol.E_UNKNOWN_GRID,
                     "unknown grid %r" % grid_id))
-            else:
-                await self._send(writer, protocol.reply(request,
-                                                        grid=grid_id))
-                await self._stream_grid(grid_id, writer)
         elif op == "jobs":
             await self._send(writer, protocol.reply(
                 request, jobs=self.scheduler.job_table(
@@ -388,17 +382,19 @@ class ServeServer:
         submit_span.set_attr("grid", grid_id)
         submit_span.set_attr("jobs", len(jobs))
         self.tracer.record(submit_span)
-        await self._send(writer, protocol.reply(
-            request, grid=grid_id,
-            jobs=[job.summary() for job in jobs]))
+        reply = protocol.reply(request, grid=grid_id,
+                               jobs=[job.summary() for job in jobs])
         if request.get("stream"):
-            await self._stream_grid(grid_id, writer)
+            # No await since admission, so the grid is still retained.
+            await self._stream_grid(grid_id, writer, reply)
+        else:
+            await self._send(writer, reply)
 
     def _prepare_cells(self, specs):
         """Thread-side: content keys + disk-cache probes for a grid.
 
-        Skips the (compile-costly) disk probe when the key already has an
-        in-flight or completed job — the scheduler will reuse it anyway.
+        Skips the disk probe when the key already has an in-flight or
+        retained job — the scheduler will reuse it anyway.
         """
         cells = []
         for spec in specs:
@@ -409,26 +405,30 @@ class ServeServer:
             cells.append((spec, key, cached))
         return cells
 
-    async def _stream_grid(self, grid_id, writer):
+    async def _stream_grid(self, grid_id, writer, first):
+        """Watch a grid: send ``first``, the grid's replay, then its
+        events through ``grid_done``.  False if the grid is unknown.
+
+        The watch pins the grid against eviction until it is released
+        on the way out.
+        """
         queue = asyncio.Queue()
         replay = self.scheduler.watch(grid_id, queue)
+        if replay is None:
+            return False
         try:
+            await self._send(writer, first)
             for message in replay:
                 await self._send(writer, message)
             if self.scheduler.grid_done(grid_id):
-                grid = self.scheduler.grids[grid_id]
-                failed = sum(
-                    1 for job_id in grid["jobs"]
-                    if self.scheduler.jobs[job_id].state == FAILED)
-                await self._send(writer, protocol.event(
-                    "grid_done", grid=grid_id, jobs=len(grid["jobs"]),
-                    failed=failed))
-                return
+                await self._send(writer,
+                                 self.scheduler.grid_done_event(grid_id))
+                return True
             while True:
                 message = await queue.get()
                 await self._send(writer, message)
                 if message.get("event") == "grid_done":
-                    return
+                    return True
         finally:
             self.scheduler.unwatch(grid_id, queue)
 

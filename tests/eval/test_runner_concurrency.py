@@ -1,11 +1,15 @@
-"""Thread-safety of the runner's stats/memo, and the job-key/probe API
-the simulation service builds on."""
+"""Thread-safety of the runner's stats/memo, the job-key/probe API the
+simulation service builds on, and recovery from corrupt cache entries."""
 
+import collections
+import os
+import pickle
 import threading
 
 import pytest
 
 from repro.eval import runner
+from repro.serve.jobs import JobSpec, compute_key, probe_cache
 
 
 @pytest.fixture()
@@ -71,6 +75,112 @@ class TestJobKeyAndProbe:
         runner.clear_cache()
         monkeypatch.setattr(runner, "_disk_enabled", False)
         assert runner.probe_disk("VecAdd", "baseline", **GEOMETRY) is None
+
+
+class TestKernelDigestMemo:
+    """A cache key compiles each kernel once per process, not per call."""
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        from repro.nocl import compiler
+        calls = collections.Counter()
+        compile_kernel = compiler.compile_kernel
+
+        def spy(source, mode, opt=0):
+            calls[(source.name, mode, opt)] += 1
+            return compile_kernel(source, mode, opt=opt)
+
+        monkeypatch.setattr(compiler, "compile_kernel", spy)
+        monkeypatch.setattr(runner, "_kernel_digest_memo", {})
+        return calls
+
+    def test_repeated_keys_and_probes_compile_once(self, compiles,
+                                                   private_cache):
+        spec = JobSpec(benchmark="BitonicSm", config_name="cheri_opt",
+                       overrides=dict(GEOMETRY, opt=1))
+        keys = set()
+        for _ in range(3):
+            keys.add(runner.job_key("BitonicSm", "cheri_opt",
+                                    opt=1, **GEOMETRY))
+            keys.add(compute_key(spec))
+            assert runner.probe_disk("BitonicSm", "cheri_opt",
+                                     opt=1, **GEOMETRY) is None
+        assert len(keys) == 1
+        # BitonicSm's module binds two kernels: each compiles once.
+        assert len(compiles) == 2
+        assert set(compiles.values()) == {1}
+        assert {(mode, opt) for _, mode, opt in compiles} == \
+            {("purecap", 1)}
+
+    def test_modes_and_opt_levels_still_give_distinct_keys(self, compiles):
+        keys = {(config, opt): runner.job_key("Histogram", config,
+                                              opt=opt, **GEOMETRY)
+                for config in ("baseline", "cheri_opt", "boundscheck")
+                for opt in (0, 1)}
+        assert len(set(keys.values())) == len(keys)
+        assert set(compiles.values()) == {1}
+        assert {(mode, opt) for _, mode, opt in compiles} == {
+            (mode, opt) for mode in ("baseline", "purecap", "boundscheck")
+            for opt in (0, 1)}
+
+
+def _truncate(path):
+    with open(path, "rb") as stream:
+        data = stream.read()
+    with open(path, "wb") as stream:
+        stream.write(data[:len(data) // 2])
+
+
+def _garble(path):
+    with open(path, "wb") as stream:
+        stream.write(b"this is not a pickle\n" * 8)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _garble],
+                         ids=["truncated", "garbage"])
+class TestCorruptEntries:
+    """A damaged ``.pkl`` is counted, re-simulated and rewritten."""
+
+    def entry(self, cache):
+        return os.path.join(cache, runner.job_key("VecAdd", "baseline",
+                                                  **GEOMETRY) + ".pkl")
+
+    def test_run_resimulates_and_rewrites(self, private_cache, damage):
+        clean = runner.run_benchmark("VecAdd", "baseline", **GEOMETRY)
+        path = self.entry(private_cache)
+        damage(path)
+        runner.clear_cache()
+        before = runner.RUNNER_STATS.snapshot()["corrupt_entries"]
+        rerun = runner.run_benchmark("VecAdd", "baseline", **GEOMETRY)
+        assert runner.RUNNER_STATS.snapshot()["corrupt_entries"] == \
+            before + 1
+        assert rerun.meta.source == "sim"
+        assert rerun.stats.as_dict() == clean.stats.as_dict()
+        with open(path, "rb") as stream:
+            rewritten = pickle.load(stream)
+        assert rewritten.stats.as_dict() == clean.stats.as_dict()
+        runner.clear_cache()
+        warm = runner.run_benchmark("VecAdd", "baseline", **GEOMETRY)
+        assert warm.meta.source == "disk"
+        assert runner.RUNNER_STATS.snapshot()["corrupt_entries"] == \
+            before + 1
+
+    def test_probe_misses_and_the_served_cell_executes(self, private_cache,
+                                                       damage):
+        from repro.serve.jobs import execute_spec
+        spec = JobSpec(benchmark="VecAdd", config_name="baseline",
+                       overrides=dict(GEOMETRY))
+        clean = runner.run_benchmark("VecAdd", "baseline", **GEOMETRY)
+        damage(self.entry(private_cache))
+        runner.clear_cache()
+        before = runner.RUNNER_STATS.snapshot()["corrupt_entries"]
+        assert probe_cache(spec) is None
+        assert runner.RUNNER_STATS.snapshot()["corrupt_entries"] == \
+            before + 1
+        payload = execute_spec(spec.as_dict())
+        assert payload["cache_source"] == "sim"
+        assert payload["stats"] == clean.stats.as_dict()
+        assert probe_cache(spec) is not None
 
 
 class TestConcurrentRuns:

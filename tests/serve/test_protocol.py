@@ -445,3 +445,216 @@ class TestSchedulerEvents:
         assert not scheduler.all_idle()
         scheduler.on_done(0, jobs[0].id, {"slept": 1.0})
         assert scheduler.all_idle()
+
+
+# ---------------------------------------------------------------------------
+# Bounded tables (caps lowered so a few cells overflow them)
+
+
+@pytest.fixture()
+def small_caps(monkeypatch):
+    from repro.serve import scheduler as scheduler_module
+    monkeypatch.setattr(scheduler_module, "MAX_TERMINAL_JOBS", 4)
+    monkeypatch.setattr(scheduler_module, "MAX_FINISHED_GRIDS", 3)
+
+
+def cached_payload(tag):
+    return {"stats": {"cycles": 1}, "cache_source": "disk", "tag": tag}
+
+
+def complete(scheduler, tag):
+    """Admit ``tag`` fresh and finish it on worker 0; returns the job."""
+    _, jobs = scheduler.admit([sleep_cell(tag)])
+    scheduler.on_done(0, jobs[0].id, {"slept": tag})
+    return jobs[0]
+
+
+class NoScanDict(dict):
+    """A job table that fails any whole-table scan."""
+
+    def __iter__(self):
+        raise AssertionError("job table scanned")
+
+    def values(self):
+        raise AssertionError("job table scanned")
+
+    def items(self):
+        raise AssertionError("job table scanned")
+
+
+@pytest.mark.usefixtures("small_caps")
+class TestSchedulerBounds:
+    def test_memo_hits_retain_no_memory(self):
+        import tracemalloc
+        scheduler, _ = make_scheduler()
+        job = complete(scheduler, "a")
+        cell = sleep_cell("a")
+        for _ in range(100):    # warm every table up to its cap
+            scheduler.admit([cell])
+        hits = 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(hits):
+                scheduler.admit([cell])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert scheduler.metrics.memo_hits == 100 + hits
+        # A hit that kept its grid, or a grid id on its job, would
+        # retain about 600 B.
+        assert grown / hits < 8, \
+            "%.1f B retained per memo hit" % (grown / hits)
+        assert len(scheduler.grids) <= 3
+        assert len(job.grids) == 0
+
+    def test_admission_never_scans_the_job_table(self):
+        scheduler, _ = make_scheduler()
+        for tag in "abc":
+            complete(scheduler, tag)
+        scheduler.jobs = NoScanDict(scheduler.jobs)
+        _, jobs = scheduler.admit([sleep_cell("a"), sleep_cell("d")])
+        assert scheduler.in_flight() == 1
+        assert scheduler.running() == 0
+        scheduler.on_done(0, jobs[1].id, {"slept": "d"})
+        assert scheduler.in_flight() == 0
+        assert scheduler.all_idle()
+
+    def test_terminal_table_holds_at_cap_in_lru_order(self):
+        scheduler, _ = make_scheduler()
+        for tag in "abcd":
+            complete(scheduler, tag)
+        scheduler.admit([sleep_cell("a")])      # memo hit refreshes "a"
+        scheduler.admit([sleep_cell("e", cached=cached_payload("e"))])
+        assert {job.spec.tag for job in scheduler.jobs.values()} == \
+            set("acde")
+        for tag in "fghij":
+            scheduler.admit([sleep_cell(tag, cached=cached_payload(tag))])
+        assert len(scheduler.jobs) == len(scheduler.by_key) == 4
+        assert {job.spec.tag for job in scheduler.jobs.values()} == \
+            set("ghij")
+        assert scheduler.metrics.jobs_evicted == 6
+
+    def test_evicted_key_falls_through_to_cached_payload(self):
+        scheduler, pool = make_scheduler()
+        old = complete(scheduler, "a")
+        for tag in "bcde":
+            scheduler.admit([sleep_cell(tag, cached=cached_payload(tag))])
+        assert old.key not in scheduler.by_key
+        # The server probes the disk cache for a key the table lost.
+        _, jobs = scheduler.admit([sleep_cell("a",
+                                              cached=cached_payload("a"))])
+        assert jobs[0] is not old
+        assert jobs[0].state == CACHED
+        assert scheduler.metrics.memo_hits == 0
+        assert scheduler.metrics.cache_hits == 5
+        assert pool.workers[0].assigned == [(old.id, old.spec.as_dict())]
+
+    def test_inflight_jobs_and_watched_grids_survive_eviction(self):
+        scheduler, pool = make_scheduler()
+        slow_grid, slow = scheduler.admit([sleep_cell("slow")])
+        watched_grid, watched = scheduler.admit(
+            [sleep_cell("w", cached=cached_payload("w"))])
+        queue = asyncio.Queue()
+        scheduler.watch(watched_grid, queue)
+        for index in range(20):
+            tag = "x%d" % index
+            scheduler.admit([sleep_cell(tag, cached=cached_payload(tag))])
+        assert scheduler.metrics.jobs_evicted > 0
+        assert scheduler.jobs[slow[0].id] is slow[0]
+        assert scheduler.by_key[slow[0].key] is slow[0]
+        assert slow_grid in scheduler.grids
+        assert watched_grid in scheduler.grids
+        # The watched grid still replays its (evicted) cell in full.
+        assert watched[0].id not in scheduler.jobs
+        replay = scheduler.watch(watched_grid, queue)
+        assert replay[0]["event"] == CACHED
+        assert replay[0]["payload"] == cached_payload("w")
+        # Once finished and unwatched, both grids become evictable.
+        scheduler.on_done(0, slow[0].id, {"slept": 1.0})
+        scheduler.unwatch(watched_grid, queue)
+        for index in range(20, 40):
+            tag = "x%d" % index
+            scheduler.admit([sleep_cell(tag, cached=cached_payload(tag))])
+        assert slow_grid not in scheduler.grids
+        assert watched_grid not in scheduler.grids
+        assert len(scheduler.grids) == 3
+        assert len(scheduler.jobs) == 4
+        assert pool.workers[0].assigned == [(slow[0].id,
+                                             slow[0].spec.as_dict())]
+
+
+class FakeWriter:
+    """Collects the frames a server handler writes."""
+
+    def __init__(self):
+        self.frames = []
+
+    def write(self, data):
+        self.frames.append(protocol.decode(data))
+
+    async def drain(self):
+        pass
+
+
+@pytest.mark.usefixtures("small_caps")
+class TestSubscribeAfterEviction:
+    def subscribe(self, server, grid_id):
+        writer = FakeWriter()
+        asyncio.run(server._dispatch_op(
+            {"op": "subscribe", "grid": grid_id, "seq": 1}, writer))
+        return writer.frames
+
+    def make_server(self):
+        from repro.serve.server import ServeServer
+        server = ServeServer()
+        server.scheduler, _ = make_scheduler()
+        return server
+
+    def test_evicted_grid_is_unknown(self):
+        server = self.make_server()
+        first, _ = server.scheduler.admit(
+            [sleep_cell("a", cached=cached_payload("a"))])
+        for tag in "bcd":
+            server.scheduler.admit(
+                [sleep_cell(tag, cached=cached_payload(tag))])
+        assert first not in server.scheduler.grids
+        frames = self.subscribe(server, first)
+        assert frames == [protocol.error(
+            {"seq": 1}, protocol.E_UNKNOWN_GRID,
+            "unknown grid %r" % first)]
+
+    def test_retained_finished_grid_replays_every_cell(self):
+        server = self.make_server()
+        cells = [sleep_cell(tag, cached=cached_payload(tag))
+                 for tag in "abcdef"]
+        grid_id, jobs = server.scheduler.admit(cells)
+        assert server.scheduler.metrics.jobs_evicted == 2
+        frames = self.subscribe(server, grid_id)
+        assert frames[0] == {"ok": True, "seq": 1, "grid": grid_id}
+        replay = frames[1:-1]
+        assert [frame["id"] for frame in replay] == \
+            [job.id for job in jobs]
+        assert all(frame["event"] == CACHED for frame in replay)
+        assert [frame["payload"]["tag"] for frame in replay] == \
+            list("abcdef")
+        assert frames[-1] == protocol.event("grid_done", grid=grid_id,
+                                            jobs=6, failed=0)
+
+    def test_disconnected_subscriber_releases_the_grid(self):
+        server = self.make_server()
+        grid_id, _ = server.scheduler.admit(
+            [sleep_cell("a", cached=cached_payload("a"))])
+
+        class GoneWriter(FakeWriter):
+            def write(self, data):
+                raise ConnectionResetError
+
+        with pytest.raises(ConnectionResetError):
+            asyncio.run(server._dispatch_op(
+                {"op": "subscribe", "grid": grid_id}, GoneWriter()))
+        assert not server.scheduler.grids[grid_id]["watchers"]
+        for tag in "bcd":
+            server.scheduler.admit(
+                [sleep_cell(tag, cached=cached_payload(tag))])
+        assert grid_id not in server.scheduler.grids
