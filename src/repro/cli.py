@@ -17,7 +17,6 @@ Commands:
 - ``jobs``                      — server job table / stats / drain
 - ``result ID``                 — fetch one job's result from the server
 - ``top``                       — live dashboard for a running serve node
-- ``obs report``                — longitudinal perf trends + regression gate
 - ``table3`` / ``headline``     — shortcuts for the area model / abstract
 
 ``run``/``bench`` accept ``--json`` for machine-readable output; every
@@ -324,6 +323,11 @@ def cmd_diff(args):
              100 * args.threshold))
     print(mf.render_diff(rows, old_label="old", new_label="new",
                          verbose=args.verbose))
+    alerts = mf.manifest_failure_alerts([(args.old, old), (args.new, new)])
+    if alerts:
+        print("manifest write failures:")
+        for line in alerts:
+            print("  " + line)
     return 1 if any(row["regressed"] for row in rows) else 0
 
 
@@ -419,41 +423,6 @@ def cmd_top(args):
     port = args.port if args.port is not None else default_port()
     return run_top(args.host, port, interval=args.interval,
                    iterations=args.iterations, once=args.once)
-
-
-def cmd_obs(args):
-    from repro.obs.trend import trend_report
-    if args.obs_command != "report":
-        print("unknown obs subcommand %r" % args.obs_command,
-              file=sys.stderr)
-        return 2
-    text, regressed = trend_report(
-        bench_path=args.bench, manifest_paths=args.manifests or (),
-        threshold=args.threshold, breakdown=args.breakdown)
-    if args.json:
-        import json
-        import os
-
-        from repro.obs.trend import (
-            BENCH_THRESHOLD,
-            bench_trends,
-            load_bench_history,
-        )
-        rows = []
-        if args.bench and os.path.exists(args.bench):
-            rows = bench_trends(
-                load_bench_history(args.bench),
-                threshold=(args.threshold if args.threshold is not None
-                           else BENCH_THRESHOLD),
-                breakdown=args.breakdown)
-        print(json.dumps({"rows": rows, "regressed": regressed},
-                         indent=1, sort_keys=True, default=list))
-    else:
-        print(text)
-    if regressed:
-        print("obs report: %d regression(s) beyond threshold" % regressed,
-              file=sys.stderr)
-    return 1 if (args.gate and regressed) else 0
 
 
 def _client(args):
@@ -823,32 +792,6 @@ def build_parser():
                           "and exit (scriptable health check)")
     _add_client_args(top)
 
-    obs = sub.add_parser(
-        "obs", help="observability reports over recorded telemetry")
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-    obs_report = obs_sub.add_parser(
-        "report", help="longitudinal perf trends over BENCH_runner.json "
-                       "and manifest chains, with regression flags")
-    obs_report.add_argument("--bench", default="BENCH_runner.json",
-                            help="BENCH history path (default: "
-                                 "BENCH_runner.json)")
-    obs_report.add_argument("--manifests", nargs="*", default=None,
-                            metavar="MANIFEST.json",
-                            help="chronological manifest sequence to "
-                                 "chain-diff")
-    obs_report.add_argument("--threshold", type=float, default=None,
-                            help="relative regression threshold "
-                                 "(default: 10%% wall-clock, 2%% "
-                                 "manifest metrics)")
-    obs_report.add_argument("--breakdown", action="store_true",
-                            help="also trend per-benchmark cold-serial "
-                                 "seconds")
-    obs_report.add_argument("--json", action="store_true",
-                            help="machine-readable trend rows")
-    obs_report.add_argument("--gate", action="store_true",
-                            help="exit non-zero when any metric "
-                                 "regressed (CI gating)")
-
     submit = sub.add_parser(
         "submit", help="submit a benchmark x config grid to the server")
     submit.add_argument("benchmarks", nargs="*", metavar="BENCH",
@@ -911,7 +854,6 @@ def main(argv=None):
         "jobs": cmd_jobs,
         "result": cmd_result,
         "top": cmd_top,
-        "obs": cmd_obs,
     }
     try:
         return handlers[args.command](args)

@@ -33,7 +33,6 @@ from repro.obs.telemetry import (
     active_tracer,
     install,
 )
-from repro.obs.trend import bench_trends, manifest_trends, trend_report
 
 __all__ = [
     "EVENTS", "ProbeBus", "attach", "detach",
@@ -45,5 +44,4 @@ __all__ = [
     "diff_manifests", "render_diff",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "Span", "Tracer", "active_tracer", "install",
-    "bench_trends", "manifest_trends", "trend_report",
 ]

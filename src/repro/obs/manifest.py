@@ -10,8 +10,8 @@ disk cache was keyed on, the git revision, and wall-clock cost.
 
 ``python -m repro diff A.json B.json`` compares two manifests metric by
 metric and exits non-zero when any *higher-is-worse* metric regressed
-beyond the threshold — the intended guard for performance-sensitive
-changes (pair it with the pinned ``BENCH_runner.json`` numbers).
+beyond the threshold, and flags a manifest whose process lost an
+earlier manifest to a failed write (:func:`manifest_failure_alerts`).
 """
 
 import json
@@ -198,6 +198,22 @@ def load_manifest(path):
         raise ValueError("%s is not a run manifest (no benchmarks key)"
                          % path)
     return manifest
+
+
+def manifest_failure_alerts(manifests):
+    """One line per ``(label, manifest)`` pair whose runner counters
+    recorded manifest-write failures: some earlier suite invocation in
+    that process lost its provenance (the write was logged and counted,
+    but no file exists to compare), so the manifest trail has a gap."""
+    lines = []
+    for label, manifest in manifests:
+        counters = manifest.get("runner_counters") or {}
+        failures = counters.get("manifest_write_failures", 0)
+        if failures:
+            lines.append(
+                "%s: %d manifest write failure(s) recorded in this "
+                "process — provenance trail has gaps" % (label, failures))
+    return lines
 
 
 def manifest_backend(manifest):

@@ -2,8 +2,8 @@
 
 Dependency-free (stdlib only) and shared by every layer that wants
 service-grade observability: the simulation service (``repro.serve``),
-the experiment runner (``repro.eval.runner``), and the CLI dashboards
-(``repro top``, ``repro obs report``).
+the experiment runner (``repro.eval.runner``), and the CLI dashboard
+(``repro top``).
 
 Metrics
 =======

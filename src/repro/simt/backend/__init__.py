@@ -8,9 +8,9 @@ every backend drives.  Two backends exist:
 - ``scalar`` — the reference per-lane interpreter (one Python-level loop
   over active lanes per instruction).
 - ``vector`` — lane-vectorized execution: symbolic uniform/affine operand
-  forms, NumPy lane arrays on wide SMs, fast-path capability checks and a
-  hot-trace specializer, falling back to the scalar semantics per-op for
-  rare cases.  Bit-identical to ``scalar`` by construction.
+  forms, fast-path capability checks and a hot-trace specializer,
+  falling back to the scalar semantics per-op for rare cases.
+  Bit-identical to ``scalar`` by construction.
 
 Backends are selected by :attr:`repro.simt.config.SMConfig.backend`
 (default ``vector``).

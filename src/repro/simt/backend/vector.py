@@ -18,8 +18,6 @@ register file detects (paper section 2.2):
 - **vectorized memory lanes** — affine word-aligned address streams
   gather/scatter straight against the sparse word store, with O(1)
   coalescing and bank-conflict equivalents of the per-lane timing model;
-- **NumPy lane arrays** — on wide SMs (>= 16 lanes) uncompressed integer
-  operands run through uint32 array arithmetic;
 - **hot-trace specialisation** — straight-line decoded regions whose
   start is issued more than a threshold number of times are compiled
   into a pre-decoded step list; a warp (or diverged thread group) that
@@ -56,18 +54,9 @@ from repro.simt.regfile.compressed import (
     _Vector,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is expected in the image
-    _np = None
-
 MASK32 = 0xFFFFFFFF
 MASK33 = (1 << 33) - 1
 _FAR_FUTURE = 1 << 62
-
-#: Minimum lane count before NumPy array arithmetic beats plain lists
-#: (list<->array conversion dominates below this).
-_NUMPY_MIN_LANES = 16
 
 #: Issues of one static instruction (by any warp or thread group) before
 #: the straight-line region starting there is compiled into a step list.
@@ -85,14 +74,6 @@ _ADD = alu.INT_FNS["add"]
 _SUB = alu.INT_FNS["sub"]
 _SLL = alu.INT_FNS["sll"]
 _MUL = alu.INT_FNS["mul"]
-
-#: NumPy-safe two-source integer ops (uint32 wraparound matches the
-#: per-lane functions exactly; mulh/div/rem corner cases excluded).
-_NP_RR = {}
-if _np is not None:
-    _NP_RR = {alu.INT_FNS[k]: k for k in (
-        "add", "sub", "xor", "or", "and", "sll", "srl", "sra",
-        "slt", "sltu", "mul")}
 
 # Original (unpatched) capability-op lambdas, captured at import for the
 # identity checks guarding semantics-specific fast paths.  A test that
@@ -388,7 +369,7 @@ class VectorBackend(ScalarBackend):
             a = _expand(f1, num_lanes)
             b = _expand(f2, num_lanes)
             if full:
-                values = self._int_lanes(fn, a, b, num_lanes)
+                values = [fn(a[i], b[i]) for i in range(num_lanes)]
             else:
                 values = [0] * num_lanes
                 for lane in lanes:
@@ -428,23 +409,13 @@ class VectorBackend(ScalarBackend):
         else:
             a = _expand(f1, num_lanes)
             if full:
-                values = self._int_lanes(fn, a, imm, num_lanes)
+                values = [fn(a[i], imm) for i in range(num_lanes)]
             else:
                 values = [0] * num_lanes
                 for lane in lanes:
                     values[lane] = fn(a[lane], imm)
             sm._write_rd(warp, instr.rd, values, mask)
         sm._advance(warp, lanes, pc + 4)
-
-    def _int_lanes(self, fn, a, b, num_lanes):
-        """Full-mask per-lane integer compute; NumPy arrays on wide SMs."""
-        if num_lanes >= _NUMPY_MIN_LANES:
-            key = _NP_RR.get(fn)
-            if key is not None:
-                return _np_int(key, a, b)
-        if type(b) is int:
-            return [fn(a[i], b) for i in range(num_lanes)]
-        return [fn(a[i], b[i]) for i in range(num_lanes)]
 
     def _v_lui(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -548,8 +519,8 @@ class VectorBackend(ScalarBackend):
             pcs[lane] = target
 
     # ------------------------------------------------------------------
-    # Floating point.  No NumPy here: the uniform path calls the scalar
-    # function once, keeping NaN payloads and rounding bit-exact.
+    # Floating point.  The uniform path calls the scalar function once,
+    # keeping NaN payloads and rounding bit-exact.
     # ------------------------------------------------------------------
 
     def _v_float_rr(self, warp, instr, pc, lanes, mask, aux):
@@ -1800,39 +1771,6 @@ class VectorBackend(ScalarBackend):
             steps.append((i << 2, instr, handler, aux, instr.op is Op.CSC))
             i += 1
         return steps if len(steps) >= 2 else ()
-
-
-def _np_int(key, a, b):
-    """uint32 array evaluation of a two-source integer op (wide SMs)."""
-    np = _np
-    x = np.array(a, dtype=np.uint32)
-    y = np.uint32(b) if type(b) is int else np.array(b, dtype=np.uint32)
-    if key == "add":
-        z = x + y
-    elif key == "sub":
-        z = x - y
-    elif key == "xor":
-        z = x ^ y
-    elif key == "or":
-        z = x | y
-    elif key == "and":
-        z = x & y
-    elif key == "sll":
-        z = x << (y & np.uint32(31))
-    elif key == "srl":
-        z = x >> (y & np.uint32(31))
-    elif key == "sra":
-        z = (x.astype(np.int32)
-             >> np.asarray(y & np.uint32(31)).astype(np.int32)
-             ).astype(np.uint32)
-    elif key == "slt":
-        z = (x.astype(np.int32)
-             < np.asarray(y).astype(np.int32)).astype(np.uint32)
-    elif key == "sltu":
-        z = (x < y).astype(np.uint32)
-    else:  # mul
-        z = x * y
-    return [int(v) for v in z]
 
 
 #: scalar handler function -> vectorized handler method name.

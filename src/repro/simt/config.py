@@ -76,9 +76,9 @@ class SMConfig:
     #: Which execution backend interprets instructions.  ``"scalar"`` is
     #: the reference per-lane interpreter; ``"vector"`` executes each
     #: issued instruction across all lanes at once (symbolic uniform /
-    #: affine forms, NumPy arrays on wide SMs, hot-trace specialisation)
-    #: and is bit-identical to the scalar backend by construction —
-    #: enforced by the equivalence tests and ``repro lockstep``.
+    #: affine forms, hot-trace specialisation) and is bit-identical to
+    #: the scalar backend by construction — enforced by the equivalence
+    #: tests and ``repro lockstep``.
     backend: str = "vector"
 
     # -- compiler ------------------------------------------------------------

@@ -11,8 +11,8 @@ pin down:
   region machinery, entered by converged warps and under partial masks;
 - capability faults raised by a strict subset of a warp's lanes, also
   from inside a fused region (full-warp or masked);
-- the NumPy wide-SM path (``num_lanes >= 16``), which evaluates ALU ops
-  on uint32 arrays instead of per-lane Python ints.
+- wide warps (``num_lanes == 16``), twice the evaluation geometry's
+  lane count.
 """
 
 from dataclasses import asdict
@@ -61,8 +61,7 @@ def masked_entries(monkeypatch):
     return prefixes
 
 
-#: (num_warps, num_lanes): the per-lane Python path and the wide NumPy
-#: path (>= 16 lanes).
+#: (num_warps, num_lanes): a narrow warp and a wide (16-lane) one.
 WARP_SHAPES = [(2, 4), (1, 16)]
 
 
@@ -259,7 +258,7 @@ class TestFaultingLaneSubsets:
 
 
 class TestWideSMNumpyPath:
-    """>= 16 lanes engages the vector backend's NumPy array ALU."""
+    """16-lane warps: full-mask and masked ALU ops on wide warps."""
 
     def test_alu_mix_sixteen_lanes(self):
         lanes = 16
@@ -286,8 +285,8 @@ class TestWideSMNumpyPath:
             assert obs["words"][(HEAP_BASE + 4 * t) >> 2] == value
 
     def test_masked_wide_alu(self):
-        # Divergence at 16 lanes: the masked NumPy path must scatter
-        # results only into active lanes.
+        # Divergence at 16 lanes: the masked path must scatter results
+        # only into active lanes.
         lanes = 16
         prog = [
             Instr(Op.ANDI, rd=7, rs1=5, imm=1),
@@ -331,7 +330,7 @@ class TestIrregularKernels:
             trips = (3 * t) % 7 + 1
             assert obs["words"][(HEAP_BASE + 0x100 + 4 * t) >> 2] == trips
 
-    def test_frontier_loop_wide_numpy_path(self):
+    def test_frontier_loop_wide_warp(self):
         prog, regs = frontier_loop(threads=16)
         obs, _ = run_both(prog, num_warps=1, num_lanes=16, init_regs=regs)
         assert obs["fault"] is None
@@ -405,7 +404,7 @@ class TestMidRegionFault:
     """Capability faults raised from inside a fused region: same fault
     kind, same pinned cycle, same statistics as the scalar reference —
     whether the fault is uniform across the warp or confined to one
-    lane, on the per-lane and the wide NumPy path."""
+    lane, on narrow and wide (16-lane) warps."""
 
     def _fault_loop(self, bad_lane=None, window_words=8, trips=12,
                     num_lanes=4):
@@ -472,7 +471,7 @@ class TestMidRegionFault:
 class TestMaskedMidRegionFault:
     """Capability faults raised from inside a region entered under a
     partial mask, uniform across the active subset or confined to a
-    single lane of it, on the per-lane and the wide NumPy path."""
+    single lane of it, on narrow and wide (16-lane) warps."""
 
     def _masked_fault_loop(self, bad_lane=None, window_words=8, trips=12,
                            num_lanes=4, parked_lane=3):
