@@ -9,9 +9,10 @@ using it before and after touching the issue loop.
 Usage::
 
     PYTHONPATH=src python scripts/profile.py [BENCH] [CONFIG] [--top N]
-    PYTHONPATH=src python scripts/profile.py --suite [CONFIG]
+    PYTHONPATH=src python scripts/profile.py --suite [CONFIG] [--top N]
 
-Defaults: MatMul under cheri_opt, top 20 by cumulative time.
+Defaults: MatMul under cheri_opt, top 20 by cumulative time; ``--suite``
+alone profiles the cheri_opt suite.
 """
 
 import argparse
@@ -31,18 +32,24 @@ import pstats  # noqa: E402
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("benchmark", nargs="?", default="MatMul")
-    parser.add_argument("config", nargs="?", default="cheri_opt")
+    parser.add_argument("benchmark", nargs="?")
+    parser.add_argument("config", nargs="?")
     parser.add_argument("--top", type=int, default=20,
                         help="rows of the profile to print (default 20)")
-    parser.add_argument("--suite", action="store_true",
-                        help="profile the whole suite instead of one "
-                             "benchmark")
+    parser.add_argument("--suite", nargs="?", const="cheri_opt",
+                        metavar="CONFIG",
+                        help="profile the whole suite under CONFIG "
+                             "(default cheri_opt) instead of one benchmark")
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort key")
     parser.add_argument("--scale", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.suite and (args.benchmark or args.config):
+        parser.error("--suite profiles the whole suite; name its config "
+                     "as --suite CONFIG, not as a positional argument")
+    benchmark = args.benchmark or "MatMul"
+    config = args.config or "cheri_opt"
 
     from repro.eval import runner
 
@@ -51,18 +58,18 @@ def main(argv=None):
     runner.clear_cache()
 
     if args.suite:
-        target = "runner.run_suite(%r, scale=%d, jobs=1)" % (args.config,
+        target = "runner.run_suite(%r, scale=%d, jobs=1)" % (args.suite,
                                                              args.scale)
     else:
         target = "runner.run_benchmark(%r, %r, scale=%d)" % (
-            args.benchmark, args.config, args.scale)
+            benchmark, config, args.scale)
     print("profiling:", target)
     profiler = cProfile.Profile()
     profiler.enable()
     if args.suite:
-        runner.run_suite(args.config, scale=args.scale, jobs=1)
+        runner.run_suite(args.suite, scale=args.scale, jobs=1)
     else:
-        runner.run_benchmark(args.benchmark, args.config, scale=args.scale)
+        runner.run_benchmark(benchmark, config, scale=args.scale)
     profiler.disable()
 
     stats = pstats.Stats(profiler)

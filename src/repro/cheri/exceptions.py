@@ -23,11 +23,6 @@ class CapabilityFault(Exception):
         self.thread = thread
         self.pc = pc
 
-    def located(self, thread, pc):
-        """Return a copy annotated with the faulting thread and PC."""
-        clone = type(self)(str(self), address=self.address, thread=thread, pc=pc)
-        return clone
-
     def __str__(self):
         base = super().__str__()
         parts = []

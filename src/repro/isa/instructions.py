@@ -208,9 +208,6 @@ AMO_OPS = frozenset({
     Op.AMOMIN_W, Op.AMOMAX_W, Op.AMOMINU_W, Op.AMOMAXU_W, Op.CAMOADD_W,
 })
 
-#: All operations that access memory.
-MEM_OPS = LOAD_OPS | STORE_OPS | AMO_OPS
-
 #: Byte width of each memory access, per op.
 ACCESS_WIDTH = {
     Op.LB: 1, Op.LBU: 1, Op.SB: 1, Op.CLB: 1, Op.CLBU: 1, Op.CSB: 1,
@@ -243,16 +240,6 @@ CAP_RESULT_OPS = frozenset({
     Op.CSETBOUNDSEXACT, Op.CSETADDR, Op.CINCOFFSET, Op.CINCOFFSETIMM,
     Op.CSETFLAGS, Op.CSEALENTRY, Op.CMOVE, Op.AUIPCC, Op.CJAL, Op.CJALR,
     Op.CSPECIALRW, Op.CLC,
-})
-
-#: Operations reading capability metadata from rs1 (cs1 operands).
-CAP_USE_RS1_OPS = frozenset({
-    Op.CGETTAG, Op.CCLEARTAG, Op.CGETPERM, Op.CANDPERM, Op.CGETBASE,
-    Op.CGETLEN, Op.CSETBOUNDS, Op.CSETBOUNDSIMM, Op.CSETBOUNDSEXACT,
-    Op.CGETADDR, Op.CSETADDR, Op.CINCOFFSET, Op.CINCOFFSETIMM, Op.CGETTYPE,
-    Op.CGETSEALED, Op.CGETFLAGS, Op.CSETFLAGS, Op.CSEALENTRY, Op.CMOVE,
-    Op.CJALR, Op.CLB, Op.CLH, Op.CLW, Op.CLBU, Op.CLHU, Op.CSB, Op.CSH,
-    Op.CSW, Op.CLC, Op.CSC, Op.CAMOADD_W,
 })
 
 #: Control-flow operations (branches and jumps).

@@ -21,7 +21,6 @@ from repro.nocl.dsl import f32, i32, u32
 from repro.nocl.ir import VInstr, VLoadImm
 
 #: Physical (pre-coloured) registers the runtime initialises at launch.
-REG_ZERO = 0
 REG_SP = 2       # per-thread stack pointer (a capability under purecap)
 REG_ARG = 3      # gp: kernel-argument block pointer / capability
 REG_SCRATCH = 4  # tp: scratchpad base pointer / root capability

@@ -91,18 +91,6 @@ gridDim = _IndexDim("gridDim")
 #: Names the frontend recognises as launch-geometry reads.
 BUILTIN_DIMS = ("threadIdx", "blockIdx", "blockDim", "gridDim")
 
-#: Intrinsic function names available inside kernels.
-INTRINSICS = (
-    "shared",       # arr = shared(i32, 256): scratchpad array
-    "syncthreads",  # barrier within the thread block
-    "atomic_add",   # atomic_add(arr, idx, val) -> old value
-    "fsqrt",        # float square root (SFU)
-    "min_", "max_",     # signed integer min/max
-    "fmin_", "fmax_",   # float min/max
-    "f32", "i32", "u32",  # conversions / casts
-    "noop",
-)
-
 
 class KernelParam:
     """One declared kernel parameter."""

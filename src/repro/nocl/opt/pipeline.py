@@ -48,9 +48,6 @@ class OptReport:
         if count:
             self.passes[name] = self.passes.get(name, 0) + count
 
-    def total_changes(self):
-        return sum(self.passes.values())
-
     def as_dict(self):
         return {
             "level": self.level,

@@ -60,10 +60,6 @@ class Interval:
     def is_top(self):
         return self.lo == 0 and self.hi == UMAX
 
-    @property
-    def is_const(self):
-        return self.lo == self.hi
-
     def join(self, other):
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 

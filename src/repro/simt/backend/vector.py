@@ -14,7 +14,10 @@ register file detects (paper section 2.2):
   evaluated once per issue from the packed metadata word using the
   CHERI Concentrate *k*-window: the decoded bounds are a pure function of
   the encoded bounds and ``k = ((addr >> E) - r) >> 8``, so equal *k*
-  across lanes means one decode covers the warp;
+  across lanes means one decode covers the warp.  This covers gather
+  pointers too: CIncOffset/CSetAddr of a uniform capability by per-lane
+  offsets, and loads/stores through a metadata form (e.g. partially
+  null) whose *active* lanes hold one word;
 - **vectorized memory lanes** — affine word-aligned address streams
   gather/scatter straight against the sparse word store, with O(1)
   coalescing and bank-conflict equivalents of the per-lane timing model;
@@ -27,12 +30,13 @@ register file detects (paper section 2.2):
   re-decoded per launch).
 
 Any case the fast paths do not cover (divergence, faulting lane subsets,
-sub-word or misaligned accesses, non-uniform metadata, CJALR, AMOs, ...)
-falls back to the scalar reference path mid-instruction — operands
-already read as forms are expanded and handed to the shared ``*_core``
-helpers so no register is read twice — keeping the two backends
-bit-identical in every simulated statistic, probe event and fault.  This
-is enforced by the equivalence tests and ``repro lockstep``.
+sub-word or misaligned accesses, metadata that differs across active
+lanes, CJALR, AMOs, ...) falls back to the scalar reference path
+mid-instruction — operands already read as forms are expanded and handed
+to the shared ``*_core`` helpers so no register is read twice — keeping
+the two backends bit-identical in every simulated statistic, probe event
+and fault.  This is enforced by the equivalence tests and ``repro
+lockstep``.
 """
 
 from repro.cheri.capability import Capability, Perms
@@ -262,12 +266,22 @@ class VectorBackend(ScalarBackend):
         if reg is None or reg == 0:
             return
         sm = self.sm
-        sm.gp.write_form(warp.index, reg, form)
+        windex = warp.index
+        sm.gp.write_form(windex, reg, form)
         meta = sm.meta
-        if meta is not None:
-            meta.write_form(warp.index, reg, _NULL_SCALAR)
-            if sm._meta_plain:
-                sm._meta_vec_touch = True
+        if meta is None:
+            return
+        if sm._meta_plain:
+            meta.write_form(windex, reg, _NULL_SCALAR)
+            sm._meta_vec_touch = True
+            return
+        # Inline ``meta.write_form(.., _NULL_SCALAR)``.
+        key = (windex << 8) | reg
+        if type(meta._entries.get(key)) is _Vector:
+            meta.pool.release(meta, windex, reg)
+        meta._entries[key] = _NULL_SCALAR
+        meta.writes_total += 1
+        meta.writes_uniform += 1
 
     def _write_rd_cap_form(self, warp, reg, gp_form, meta_val):
         """Full-mask write of a capability result with uniform metadata."""
@@ -289,11 +303,12 @@ class VectorBackend(ScalarBackend):
             return
         sm = self.sm
         windex = warp.index
+        key = (windex << 8) | reg
         gp = sm.gp
         report = gp.write(windex, reg, values, mask)
         if report.spills or report.reloads:
             sm._account_rf(report)
-        if gp.is_uncompressed(windex, reg):
+        if type(gp._entries[key]) is _Vector:
             sm._gp_vec_touch = True
         meta = sm.meta
         if tagged:
@@ -301,7 +316,7 @@ class VectorBackend(ScalarBackend):
         report = meta.write(windex, reg, metas, mask)
         if report.spills or report.reloads:
             sm._account_rf(report)
-        if meta.is_uncompressed(windex, reg):
+        if sm._meta_plain or type(meta._entries[key]) is _Vector:
             sm._meta_vec_touch = True
 
     # ------------------------------------------------------------------
@@ -595,8 +610,8 @@ class VectorBackend(ScalarBackend):
         if (mask != sm._full_mask or type(f1) is not _Scalar or
                 (is_cap and (type(meta_f) is not _Scalar or
                              meta_f.stride != 0))):
-            # Any-mask / any-pattern path; it handles per-lane metadata
-            # through the decode memos too.
+            # Any-mask / any-pattern path; it also takes metadata forms
+            # whose active lanes share one word.
             return self._v_memory_general(warp, instr, pc, lanes, mask, aux,
                                           f1, meta_f)
 
@@ -773,7 +788,8 @@ class VectorBackend(ScalarBackend):
 
     def _v_memory_general(self, warp, instr, pc, lanes, mask, aux, f1,
                           meta_f):
-        """Any-mask, any-address-pattern word accesses (uniform metadata).
+        """Any-mask, any-address-pattern accesses whose active lanes share
+        one metadata word.
 
         Per-lane bounds decodes hit the *k*-window memo, gathers/scatters
         go straight against the word store, and timing is charged per
@@ -797,59 +813,45 @@ class VectorBackend(ScalarBackend):
                                              aux, f1, meta_f)
             append(a)
         op = instr.op
-        lane_perms = None
         if is_cap:
-            need = _P_STORE if is_store else _P_LOAD
-            decoded = self._decoded_bounds
             if type(meta_f) is _Scalar and meta_f.stride == 0:
                 meta_val = meta_f.base
-                tag, otype, perms, bounds, exp, r = self._cap_info(meta_val)
-                if not tag or otype != 0 or not (perms & need):
-                    # Exact per-lane fault ordering and message.
+            else:
+                # A per-lane metadata form (a partially-null pointer, or
+                # a plain metadata file) whose active lanes usually agree.
+                metas = _expand_meta(meta_f, num_lanes)
+                meta_val = metas[lanes[0]]
+                for lane in lanes:
+                    if metas[lane] != meta_val:
+                        return self._memory_fallback(warp, instr, pc, lanes,
+                                                     mask, aux, f1, meta_f)
+            tag, otype, perms, bounds, exp, r = self._cap_info(meta_val)
+            need = _P_STORE if is_store else _P_LOAD
+            if not tag or otype != 0 or not (perms & need):
+                # Exact per-lane fault ordering and message.
+                return self._memory_fallback(warp, instr, pc, lanes, mask,
+                                             aux, f1, meta_f)
+            # Inline the k-window memo; gather lanes usually share one
+            # window, so the previous lane's decode is cached in locals
+            # before the dict is consulted.
+            memo_get = self._bounds_memo.get
+            memo = self._bounds_memo
+            last_k = dec_base = dec_top = None
+            for j, lane in enumerate(lanes):
+                va = vals[lane]
+                k = ((va >> exp) - r) >> 8
+                if k != last_k:
+                    key = (meta_val, k)
+                    bt = memo_get(key)
+                    if bt is None:
+                        bt = concentrate.decode_bounds(bounds, va)
+                        memo[key] = bt
+                    dec_base, dec_top = bt
+                    last_k = k
+                a = addrs[j]
+                if not (dec_base <= a and a + width <= dec_top):
                     return self._memory_fallback(warp, instr, pc, lanes,
                                                  mask, aux, f1, meta_f)
-                # Inline the k-window memo; gather lanes usually share
-                # one window, so the previous lane's decode is cached in
-                # locals before the dict is consulted.
-                memo_get = self._bounds_memo.get
-                memo = self._bounds_memo
-                last_k = dec_base = dec_top = None
-                for j, lane in enumerate(lanes):
-                    va = vals[lane]
-                    k = ((va >> exp) - r) >> 8
-                    if k != last_k:
-                        key = (meta_val, k)
-                        bt = memo_get(key)
-                        if bt is None:
-                            bt = concentrate.decode_bounds(bounds, va)
-                            memo[key] = bt
-                        dec_base, dec_top = bt
-                        last_k = k
-                    a = addrs[j]
-                    if not (dec_base <= a and a + width <= dec_top):
-                        return self._memory_fallback(warp, instr, pc, lanes,
-                                                     mask, aux, f1, meta_f)
-            else:
-                # Per-lane metadata: same lane-ordered check sequence as
-                # the reference path (tag, seal, permission, bounds per
-                # lane, next lane), so the first failing lane is the one
-                # the replay faults on.
-                metas = _expand_meta(meta_f, num_lanes)
-                cap_info = self._cap_info
-                lane_perms = [0] * num_lanes
-                for j, lane in enumerate(lanes):
-                    meta_val = metas[lane]
-                    tag, otype, perms, bounds, exp, r = cap_info(meta_val)
-                    if not tag or otype != 0 or not (perms & need):
-                        return self._memory_fallback(warp, instr, pc, lanes,
-                                                     mask, aux, f1, meta_f)
-                    dec_base, dec_top = decoded(meta_val, bounds, exp, r,
-                                                vals[lane])
-                    a = addrs[j]
-                    if not (dec_base <= a and a + width <= dec_top):
-                        return self._memory_fallback(warp, instr, pc, lanes,
-                                                     mask, aux, f1, meta_f)
-                    lane_perms[lane] = perms
         memory = sm.memory
         words = memory._words
         if op is Op.CSC:
@@ -857,19 +859,11 @@ class VectorBackend(ScalarBackend):
             meta2 = self._meta_form(warp, instr.rs2)
             addrs2 = _expand(f2, num_lanes)
             metas2 = _expand_meta(meta2, num_lanes)
-            if lane_perms is None:
-                if not (perms & _P_STORE_CAP):
-                    for lane in lanes:
-                        if metas2[lane] > MASK32:
-                            # Per-lane STORE_CAP fault: replay on the
-                            # reference path (nothing written yet).
-                            return self._memory_core(
-                                warp, instr, pc, lanes, mask, aux,
-                                self._forms_to_caps(f1, meta_f), None)
-            else:
+            if not (perms & _P_STORE_CAP):
                 for lane in lanes:
-                    if metas2[lane] > MASK32 and \
-                            not (lane_perms[lane] & _P_STORE_CAP):
+                    if metas2[lane] > MASK32:
+                        # Per-lane STORE_CAP fault: replay on the
+                        # reference path (nothing written yet).
                         return self._memory_core(
                             warp, instr, pc, lanes, mask, aux,
                             self._forms_to_caps(f1, meta_f), None)
@@ -900,28 +894,16 @@ class VectorBackend(ScalarBackend):
             out = [0] * num_lanes
             out_metas = [0] * num_lanes
             tagged = False
-            if lane_perms is None:
-                strip = not (perms & _P_LOAD_CAP)
-                for j, lane in enumerate(lanes):
-                    index = addrs[j] >> 2
-                    hi = get(index + 1, 0)
-                    if not strip and index in tags and index + 1 in tags:
-                        tagged = True
-                        out_metas[lane] = hi | (1 << 32)
-                    else:
-                        out_metas[lane] = hi
-                    out[lane] = get(index, 0)
-            else:
-                for j, lane in enumerate(lanes):
-                    index = addrs[j] >> 2
-                    hi = get(index + 1, 0)
-                    if (lane_perms[lane] & _P_LOAD_CAP) and \
-                            index in tags and index + 1 in tags:
-                        tagged = True
-                        out_metas[lane] = hi | (1 << 32)
-                    else:
-                        out_metas[lane] = hi
-                    out[lane] = get(index, 0)
+            strip = not (perms & _P_LOAD_CAP)
+            for j, lane in enumerate(lanes):
+                index = addrs[j] >> 2
+                hi = get(index + 1, 0)
+                if not strip and index in tags and index + 1 in tags:
+                    tagged = True
+                    out_metas[lane] = hi | (1 << 32)
+                else:
+                    out_metas[lane] = hi
+                out[lane] = get(index, 0)
             self._write_rd_raw(warp, instr.rd, out, mask, out_metas, tagged)
             self._mem_timing_addrs(op, addrs, width, False, warp, lanes)
             sm._advance(warp, lanes, pc + 4)
@@ -1296,17 +1278,18 @@ class VectorBackend(ScalarBackend):
         meta_f = self._meta_form(warp, instr.rs1)
         f2 = self._gp_form(warp, instr.rs2)
         full = mask == sm._full_mask
-        if type(f1) is _Scalar and type(f2) is _Scalar and \
-                type(meta_f) is _Scalar and meta_f.stride == 0:
+        if type(f1) is _Scalar and type(meta_f) is _Scalar and \
+                meta_f.stride == 0:
             m = meta_f.base
-            if f1.stride == 0 and f2.stride == 0:
+            addr_op = fn is _FN_CINCOFFSET or fn is _FN_CSETADDR
+            if type(f2) is _Scalar and f1.stride == 0 and f2.stride == 0:
                 # Uniform address math: try the k-window check first — a
                 # same-window move keeps the metadata word bit-identical,
                 # so no Capability needs decoding at all.
-                if fn is _FN_CINCOFFSET or fn is _FN_CSETADDR:
+                if addr_op:
                     nb = ((f1.base + f2.base if fn is _FN_CINCOFFSET
                            else f2.base) & MASK32)
-                    res = self._uniform_addr_meta(m, f1.base, nb)
+                    res = self._addr_meta(m, f1.base, (nb,))
                     if res is not None:
                         self._write_rd_cap_any(warp, instr.rd,
                                                _Scalar(nb, 0), mask, full,
@@ -1324,17 +1307,18 @@ class VectorBackend(ScalarBackend):
                     sm._sfu_cheri_issue(lanes)
                 sm._advance(warp, lanes, pc + 4)
                 return
-            if not full:
-                ok = False
-            elif fn is _FN_CINCOFFSET:
-                ok = self._set_addr_window(
-                    warp, instr.rd, m, f1,
-                    f1.base + f2.base, f1.stride + f2.stride)
-            elif fn is _FN_CSETADDR:
-                ok = self._set_addr_window(warp, instr.rd, m, f1,
-                                           f2.base, f2.stride)
-            else:
-                ok = False
+            ok = False
+            if addr_op:
+                inc = fn is _FN_CINCOFFSET
+                if full and type(f2) is _Scalar:
+                    ok = self._set_addr_window(
+                        warp, instr.rd, m, f1,
+                        f2.base + (f1.base if inc else 0),
+                        f2.stride + (f1.stride if inc else 0))
+                if not ok and f1.stride == 0:
+                    # Gather pointer: uniform capability, per-lane operand.
+                    ok = self._gather_addr(warp, instr.rd, lanes, mask, inc,
+                                           m, f1.base, f2)
             if ok:
                 if slow:
                     sm._sfu_cheri_issue(lanes)
@@ -1356,7 +1340,7 @@ class VectorBackend(ScalarBackend):
             if f1.stride == 0:
                 if fn is _FN_CINCOFFSETIMM:
                     nb = (f1.base + imm) & MASK32
-                    res = self._uniform_addr_meta(m, f1.base, nb)
+                    res = self._addr_meta(m, f1.base, (nb,))
                     if res is not None:
                         self._write_rd_cap_any(warp, instr.rd,
                                                _Scalar(nb, 0), mask, full,
@@ -1383,24 +1367,48 @@ class VectorBackend(ScalarBackend):
         return self._cimm_core(warp, instr, pc, lanes, mask, fn, imm, slow,
                                self._forms_to_caps(f1, meta_f))
 
-    def _uniform_addr_meta(self, meta_val, old_addr, new_addr):
-        """Result (meta word incl. tag bit, tag) of a uniform
-        setAddr/incOffset, or None when the move leaves the *k*-window
-        (the exact Capability path must decide representability).
+    def _addr_meta(self, meta_val, ref_addr, new_addrs):
+        """Result (meta word incl. tag bit, tag) of setAddr/incOffset
+        moving a capability from ``ref_addr`` to each of ``new_addrs``,
+        or None when some move leaves the *k*-window (the exact
+        Capability path must decide representability).
 
-        Mirrors :meth:`_set_addr_window`'s three cases for a single
-        address: untagged keeps meta and (cleared) tag; sealed keeps the
-        meta word but clears the tag; tagged-unsealed keeps everything
-        when old and new address share one *k*-window.
+        Mirrors :meth:`_set_addr_window`'s three cases: untagged keeps
+        meta and (cleared) tag; sealed keeps the meta word but clears the
+        tag; tagged-unsealed keeps everything when every new address
+        shares the reference address's *k*-window.
         """
         tag, otype, _perms, _bounds, exp, r = self._cap_info(meta_val)
         if not tag:
             return meta_val, False
         if otype != 0:
             return meta_val & MASK32, False
-        if ((old_addr >> exp) - r) >> 8 != ((new_addr >> exp) - r) >> 8:
-            return None
+        k = ((ref_addr >> exp) - r) >> 8
+        for a in new_addrs:
+            if ((a >> exp) - r) >> 8 != k:
+                return None
         return meta_val, True
+
+    def _gather_addr(self, warp, rd, lanes, mask, inc, meta_val, ref, f2):
+        """setAddr (``inc`` false) or incOffset of the uniform capability
+        ``(meta_val, ref)`` by per-lane operands ``f2`` under any mask.
+        Returns True when the result was written, False when an active
+        lane leaves the *k*-window (exact per-lane path)."""
+        num_lanes = self.sm._num_lanes
+        b = _expand(f2, num_lanes)
+        if inc:
+            new = [(ref + b[lane]) & MASK32 for lane in lanes]
+        else:
+            new = [b[lane] for lane in lanes]
+        res = self._addr_meta(meta_val, ref, new)
+        if res is None:
+            return False
+        out = [0] * num_lanes
+        for j, lane in enumerate(lanes):
+            out[lane] = new[j]
+        self._write_rd_raw(warp, rd, out, mask, [res[0]] * num_lanes,
+                           res[1])
+        return True
 
     def _set_addr_window(self, warp, rd, meta_val, ref_form, new_base,
                          new_stride):

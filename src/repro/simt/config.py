@@ -27,7 +27,6 @@ MAX_HW_THREADS = 1 << 16
 MAX_BLOCK_DIM = 1024
 
 #: Memory map used by the simulator and the NoCL runtime.
-IMEM_BASE = 0x00000000
 ARG_BASE = 0x00010000
 HEAP_BASE = 0x00100000
 STACK_BASE = 0x40000000

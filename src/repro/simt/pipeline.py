@@ -43,7 +43,7 @@ from repro.simt.backend import create_backend
 from repro.simt.coalescer import coalesce
 from repro.simt.config import SMConfig
 from repro.simt.regfile import CompressedRegFile, PlainRegFile, SlotPool
-from repro.simt.regfile.compressed import _NULL_SCALAR, _Scalar
+from repro.simt.regfile.compressed import _NULL_SCALAR, _Scalar, _Vector
 from repro.simt.scratchpad import Scratchpad
 from repro.simt.sfu import SharedFunctionUnit
 from repro.simt.stackcache import StackCache
@@ -402,33 +402,35 @@ class StreamingMultiprocessor:
         if reg is None or reg == 0:
             return
         windex = warp.index
+        key = (windex << 8) | reg
         gp = self.gp
         report = gp.write(windex, reg, values, mask)
         if report.spills or report.reloads:
             self._account_rf(report)
-        if gp.is_uncompressed(windex, reg):
+        # A write leaves the entry compact or VRF-resident, never spilled.
+        if type(gp._entries[key]) is _Vector:
             self._gp_vec_touch = True
         meta = self.meta
         if meta is None:
             return
         if caps is None:
-            if mask == self._full_mask:
-                # A full-mask null-metadata write always compresses to the
-                # null scalar; skip the merge/comparator work.  This is
-                # ``meta.write(..)`` with all-zero values, bit for bit.
-                meta.write_form(windex, reg, _NULL_SCALAR)
+            entry = meta._entries.get(key)
+            if mask == self._full_mask or entry is None or (
+                    type(entry) is _Scalar and entry.base == 0 and
+                    entry.stride == 0):
+                # Full-mask null metadata, or masked null over an already
+                # null register (the merged vector is all-zero): the write
+                # compresses to the null scalar.  This is ``meta.write(..)``
+                # with all-zero values, bit for bit, counters included.
                 if self._meta_plain:
+                    meta.write_form(windex, reg, _NULL_SCALAR)
                     self._meta_vec_touch = True
-                return
-            entry = meta._entries.get((windex << 8) | reg)
-            if entry is None or (type(entry) is _Scalar and
-                                 entry.base == 0 and entry.stride == 0):
-                # Masked null write over an already-null register: the
-                # merged vector is all-zero, which classifies uniform —
-                # same counters and stored form as the merge would give.
-                meta.write_form(windex, reg, _NULL_SCALAR)
-                if self._meta_plain:
-                    self._meta_vec_touch = True
+                    return
+                if type(entry) is _Vector:
+                    meta.pool.release(meta, windex, reg)
+                meta._entries[key] = _NULL_SCALAR
+                meta.writes_total += 1
+                meta.writes_uniform += 1
                 return
             metas = self._zero_lanes
         else:
@@ -446,7 +448,7 @@ class StreamingMultiprocessor:
         report = meta.write(windex, reg, metas, mask)
         if report.spills or report.reloads:
             self._account_rf(report)
-        if meta.is_uncompressed(windex, reg):
+        if self._meta_plain or type(meta._entries[key]) is _Vector:
             self._meta_vec_touch = True
 
     def _account_rf(self, report):

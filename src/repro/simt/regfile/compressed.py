@@ -187,9 +187,6 @@ class CompressedRegFile:
 
     # -- internals -----------------------------------------------------------
 
-    def _entry(self, warp, reg):
-        return self._entries.get((warp << 8) | reg) or _Scalar(0, 0)
-
     def _spill(self, warp, reg):
         """Demote a VRF-resident vector to spilled (called by the pool)."""
         key = (warp << 8) | reg

@@ -274,11 +274,14 @@ class TestBackendEquivalence:
         Pin that every launch of every benchmark forms regions at the
         test geometry, at the lowered threshold and at the default one,
         and that the kernels whose warps diverge enter them under
-        partial masks."""
+        partial masks.  Also pin the capability fast paths: only
+        BlkStencil, whose pointers carry truly per-lane metadata,
+        reaches the exact per-lane capability arithmetic or memory
+        path."""
         from repro.simt.backend.vector import VectorBackend
         if threshold == "eager":
             monkeypatch.setattr(VectorBackend, "_hot_threshold", 4)
-        formed, masked = [], []
+        formed, masked, exact = [], [], []
         run, prefix = VectorBackend.run, VectorBackend._masked_prefix
 
         def run_spy(self, max_cycles):
@@ -292,14 +295,26 @@ class TestBackendEquivalence:
             masked.append(entered >= 2)
             return entered
 
+        def exact_spy(attr):
+            original = getattr(VectorBackend, attr)
+
+            def spy(self, *args):
+                exact.append(attr)
+                return original(self, *args)
+            monkeypatch.setattr(VectorBackend, attr, spy)
+
         monkeypatch.setattr(VectorBackend, "run", run_spy)
         monkeypatch.setattr(VectorBackend, "_masked_prefix", prefix_spy)
+        exact_spy("_cmod2_core")
+        exact_spy("_memory_fallback")
         runner.set_disk_cache(False)
         runner.run_benchmark(name, "cheri_opt", backend="vector",
                              **GEOMETRY)
         assert formed and all(formed)
         if name in DIVERGENT_BENCHES:
             assert any(masked)
+        if name != "BlkStencil":
+            assert exact == []
 
     def test_multism_scalar_vector_bit_identical(self):
         from repro.nocl import i32

@@ -15,7 +15,7 @@ pin down:
   lane count.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -587,3 +587,220 @@ class TestSubWordMemory:
                 signed & 0xFFFFFFFF
             assert obs["words"][(HEAP_BASE + 0x200 + 4 * t) >> 2] == \
                 0x80 + t
+
+
+@pytest.fixture
+def vector_spies(monkeypatch):
+    """Record the vector backend's exact-path fallbacks and the metadata
+    forms its any-mask memory path receives."""
+    seen = {"_cmod2_core": 0, "_memory_fallback": 0, "meta_forms": []}
+
+    def counting(name):
+        original = getattr(VectorBackend, name)
+
+        def spy(self, *args):
+            seen[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(VectorBackend, name, spy)
+
+    counting("_cmod2_core")
+    counting("_memory_fallback")
+    general = VectorBackend._v_memory_general
+
+    def general_spy(self, warp, instr, pc, lanes, mask, aux, f1, meta_f):
+        seen["meta_forms"].append(type(meta_f).__name__)
+        return general(self, warp, instr, pc, lanes, mask, aux, f1, meta_f)
+
+    monkeypatch.setattr(VectorBackend, "_v_memory_general", general_spy)
+    return seen
+
+
+#: Lane of each warp that branches straight to HALT under a partial mask.
+PARKED_LANE = 1
+#: Lane whose pointer or operand is made special by a test case.
+ODD_LANE = 2
+
+
+def _parked_prog(body):
+    """``body`` at depth 1 behind a branch that sends the lanes whose
+    r12 is nonzero straight to their own HALT."""
+    return ([Instr(Op.BNE, rs1=12, rs2=0, imm=4 * (len(body) + 2))] +
+            [replace(i, depth=1) for i in body] +
+            [Instr(Op.HALT), Instr(Op.HALT)])
+
+
+def _parked_flags(threads, lanes, masked):
+    return [1 if masked and t % lanes == PARKED_LANE else 0
+            for t in range(threads)]
+
+
+@pytest.mark.parametrize("num_warps,num_lanes", WARP_SHAPES)
+@pytest.mark.parametrize("masked", [False, True],
+                         ids=["full_mask", "partial_mask"])
+@pytest.mark.parametrize("op", [Op.CINCOFFSET, Op.CSETADDR])
+class TestGatherAddressArithmetic:
+    """CIncOffset/CSetAddr of a uniform capability by per-lane
+    (non-affine, so VRF-resident) offsets: each result is stored with
+    CSC so its tag, address and metadata reach memory."""
+
+    OUT = HEAP_BASE + 0x1000
+
+    def _run(self, op, source, offsets, num_warps, num_lanes, masked):
+        threads = num_warps * num_lanes
+        out_cap, exact = root_capability().set_bounds(self.OUT,
+                                                      8 * threads)
+        assert exact
+        operands = [(source.addr + offsets[t % num_lanes]) & 0xFFFFFFFF
+                    if op is Op.CSETADDR else offsets[t % num_lanes]
+                    for t in range(threads)]
+        prog = _parked_prog([Instr(op, rd=7, rs1=6, rs2=5),
+                             Instr(Op.CSC, rs1=8, rs2=7, imm=0)])
+        obs, _ = run_both(
+            prog, mode="purecap", num_warps=num_warps,
+            num_lanes=num_lanes,
+            init_regs={5: operands,
+                       12: _parked_flags(threads, num_lanes, masked)},
+            init_cap_regs={6: source,
+                           8: [out_cap.set_addr(self.OUT + 8 * t)
+                               for t in range(threads)]})
+        assert obs["fault"] is None
+        tagged = []
+        for t in range(threads):
+            index = (self.OUT + 8 * t) >> 2
+            if masked and t % num_lanes == PARKED_LANE:
+                assert index not in obs["words"]
+                continue
+            expected = (source.addr + offsets[t % num_lanes]) & 0xFFFFFFFF
+            assert obs["words"][index] == expected
+            tagged.append(index in obs["tags"])
+        return tagged
+
+    @staticmethod
+    def _offsets(num_lanes, odd=None):
+        offsets = [8 * (lane ^ 1) for lane in range(num_lanes)]
+        if odd is not None:
+            offsets[ODD_LANE] = odd
+        return offsets
+
+    def test_all_lanes_in_one_window(self, op, masked, num_warps,
+                                     num_lanes, vector_spies):
+        cap, _ = root_capability().set_bounds(HEAP_BASE, 8 * num_lanes)
+        tagged = self._run(op, cap, self._offsets(num_lanes), num_warps,
+                           num_lanes, masked)
+        assert all(tagged)
+        assert vector_spies["_cmod2_core"] == 0
+
+    def test_lane_in_another_window_but_representable(
+            self, op, masked, num_warps, num_lanes, vector_spies):
+        # A large-exponent capability decodes identically one k-window
+        # below its base; the exact path decides representability.
+        cap, exact = root_capability().set_bounds(0x80000000, 0x80000000)
+        assert exact
+        odd = (HEAP_BASE - cap.addr) & 0xFFFFFFFF
+        tagged = self._run(op, cap, self._offsets(num_lanes, odd),
+                           num_warps, num_lanes, masked)
+        assert all(tagged)
+        assert vector_spies["_cmod2_core"] == num_warps
+
+    def test_unrepresentable_lane_clears_its_tag(self, op, masked,
+                                                 num_warps, num_lanes,
+                                                 vector_spies):
+        cap, _ = root_capability().set_bounds(HEAP_BASE, 8 * num_lanes)
+        tagged = self._run(op, cap, self._offsets(num_lanes, 0x1000),
+                           num_warps, num_lanes, masked)
+        active = [lane for lane in range(num_lanes)
+                  if not (masked and lane == PARKED_LANE)]
+        odd = active.index(ODD_LANE)
+        for w in range(num_warps):
+            lanes = tagged[w * len(active):(w + 1) * len(active)]
+            assert lanes == [j != odd for j in range(len(active))]
+        assert vector_spies["_cmod2_core"] == num_warps
+
+    @pytest.mark.parametrize("source", ["sealed", "untagged"])
+    def test_sealed_and_untagged_sources(self, op, masked, num_warps,
+                                         num_lanes, source, vector_spies):
+        cap, _ = root_capability().set_bounds(HEAP_BASE, 8 * num_lanes)
+        cap = cap.seal_entry() if source == "sealed" else \
+            cap.with_tag_cleared()
+        tagged = self._run(op, cap, self._offsets(num_lanes, 0x1000),
+                           num_warps, num_lanes, masked)
+        assert not any(tagged)
+        assert vector_spies["_cmod2_core"] == 0
+
+
+@pytest.mark.parametrize("num_warps,num_lanes", WARP_SHAPES)
+@pytest.mark.parametrize("op", [Op.CLW, Op.CSW, Op.CLC, Op.CSC])
+class TestPartiallyNullPointerAccess:
+    """Capability loads/stores under a partial mask through a pointer
+    register whose metadata is partially null: the parked lane holds
+    null, so the stored form is ``_PartialNull``."""
+
+    OUT = HEAP_BASE + 0x800
+
+    def _run(self, op, num_warps, num_lanes, null_lanes):
+        threads = num_warps * num_lanes
+        region, exact = root_capability().set_bounds(HEAP_BASE, 0x1000)
+        assert exact
+        null = region.from_meta_word(0, 0, False)
+        pointers = [null if t % num_lanes in null_lanes
+                    else region.set_addr(HEAP_BASE + 8 * t)
+                    for t in range(threads)]
+        stored = [region.set_addr(HEAP_BASE + 4 * t)
+                  for t in range(threads)]
+
+        def setup(sm):
+            for t in range(threads):
+                addr = HEAP_BASE + 8 * t
+                if op is Op.CLC:
+                    cap = stored[t]
+                    sm.memory.write_cap_raw(
+                        addr, (cap.meta_word() << 32) | cap.addr, True)
+                else:
+                    sm.memory.write(addr, 4, 0x1000 + t)
+
+        body = {
+            Op.CLW: [Instr(Op.CLW, rd=7, rs1=6, imm=0),
+                     Instr(Op.CSW, rs1=8, rs2=7, imm=0)],
+            Op.CSW: [Instr(Op.CSW, rs1=6, rs2=5, imm=0)],
+            Op.CLC: [Instr(Op.CLC, rd=7, rs1=6, imm=0),
+                     Instr(Op.CSC, rs1=8, rs2=7, imm=0)],
+            Op.CSC: [Instr(Op.CSC, rs1=6, rs2=9, imm=0)],
+        }[op]
+        obs, _ = run_both(
+            _parked_prog(body), mode="purecap", num_warps=num_warps,
+            num_lanes=num_lanes, setup=setup,
+            init_regs={5: [0x2000 + t for t in range(threads)],
+                       12: _parked_flags(threads, num_lanes, True)},
+            init_cap_regs={6: pointers, 9: stored,
+                           8: [region.set_addr(self.OUT + 8 * t)
+                               for t in range(threads)]})
+        return obs
+
+    def test_active_lanes_hold_the_pointer(self, op, num_warps, num_lanes,
+                                           vector_spies):
+        obs = self._run(op, num_warps, num_lanes, {PARKED_LANE})
+        assert obs["fault"] is None
+        assert "_PartialNull" in vector_spies["meta_forms"]
+        assert vector_spies["_memory_fallback"] == 0
+        threads = num_warps * num_lanes
+        active = [t for t in range(threads)
+                  if t % num_lanes != PARKED_LANE]
+        if op is Op.CLW:
+            for t in active:
+                assert obs["words"][(self.OUT + 8 * t) >> 2] == 0x1000 + t
+        elif op is Op.CSW:
+            for t in active:
+                assert obs["words"][(HEAP_BASE + 8 * t) >> 2] == 0x2000 + t
+        else:
+            base = self.OUT if op is Op.CLC else HEAP_BASE
+            for t in active:
+                index = (base + 8 * t) >> 2
+                assert obs["words"][index] == HEAP_BASE + 4 * t
+                assert index in obs["tags"]
+
+    def test_active_null_lane_faults(self, op, num_warps, num_lanes,
+                                     vector_spies):
+        obs = self._run(op, num_warps, num_lanes, {PARKED_LANE, ODD_LANE})
+        assert obs["fault"] is not None
+        assert obs["fault"][0] == "TagViolation"
+        assert vector_spies["_memory_fallback"] >= 1
