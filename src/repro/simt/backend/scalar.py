@@ -118,6 +118,20 @@ _CIMM_FN = {
 }
 
 
+def _meta_words(caps):
+    """Per-lane metadata words (tag in bit 32) of a capability result and
+    whether any lane's capability is tagged; a None lane is null."""
+    metas = [0] * len(caps)
+    tagged = False
+    for i, cap in enumerate(caps):
+        if cap is not None:
+            # bool tag shifts like the 0/1 int it is.
+            metas[i] = cap.meta_word() | (cap.tag << 32)
+            if cap.tag:
+                tagged = True
+    return metas, tagged
+
+
 class ScalarBackend(Backend):
     """Reference per-lane interpreter (see module docstring)."""
 
@@ -396,7 +410,7 @@ class ScalarBackend(Backend):
                                             bool(meta >> 32))
             caps.append(pcc.set_addr(addr))
         sm._write_rd(warp, instr.rd, [addr] * sm._num_lanes, mask,
-                     caps=caps)
+                     *_meta_words(caps))
         sm._advance(warp, lanes, pc + 4)
 
     # --- branches and jumps -------------------------------------------
@@ -425,7 +439,8 @@ class ScalarBackend(Backend):
                         meta & MASK32, next_pc, bool(meta >> 32))
                     caps.append(link.seal_entry())
                 sm._write_rd(warp, instr.rd,
-                             [next_pc] * sm._num_lanes, mask, caps=caps)
+                             [next_pc] * sm._num_lanes, mask,
+                             *_meta_words(caps))
             else:
                 sm._write_rd(warp, instr.rd,
                              [next_pc] * sm._num_lanes, mask)
@@ -478,7 +493,7 @@ class ScalarBackend(Backend):
                                    | (int(target_cap.tag) << 32))
         if instr.rd:
             sm._write_rd(warp, instr.rd, [next_pc] * sm._num_lanes,
-                         mask, caps=link_caps)
+                         mask, *_meta_words(link_caps))
         pcs = warp.pcs
         for lane in lanes:
             pcs[lane] = targets[lane]
@@ -607,7 +622,7 @@ class ScalarBackend(Backend):
                 loaded = Capability.from_mem(raw | (int(tag) << 64))
                 out[lane] = loaded.addr
                 metas[lane] = loaded
-            sm._write_rd(warp, instr.rd, out, mask, caps=metas)
+            sm._write_rd(warp, instr.rd, out, mask, *_meta_words(metas))
         else:
             out = [0] * sm._num_lanes
             memory = sm.memory
@@ -661,7 +676,7 @@ class ScalarBackend(Backend):
             cap = fn(caps[lane])
             out[lane] = cap.addr
             result[lane] = cap
-        sm._write_rd(warp, instr.rd, out, mask, caps=result)
+        sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
         sm._advance(warp, lanes, pc + 4)
 
     def _h_cmod2(self, warp, instr, pc, lanes, mask, aux):
@@ -679,7 +694,7 @@ class ScalarBackend(Backend):
             cap = fn(caps[lane], b[lane])
             out[lane] = cap.addr
             result[lane] = cap
-        sm._write_rd(warp, instr.rd, out, mask, caps=result)
+        sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
         if slow:
             sm._sfu_cheri_issue(lanes)
         sm._advance(warp, lanes, pc + 4)
@@ -698,7 +713,7 @@ class ScalarBackend(Backend):
             cap = fn(caps[lane], imm)
             out[lane] = cap.addr
             result[lane] = cap
-        sm._write_rd(warp, instr.rd, out, mask, caps=result)
+        sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
         if slow:
             sm._sfu_cheri_issue(lanes)
         sm._advance(warp, lanes, pc + 4)
@@ -714,7 +729,7 @@ class ScalarBackend(Backend):
                                             bool(meta >> 32))
             out[lane] = pc
             result[lane] = pcc
-        sm._write_rd(warp, instr.rd, out, mask, caps=result)
+        sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
         sm._advance(warp, lanes, pc + 4)
 
     # --- SIMT / system -------------------------------------------------------

@@ -140,22 +140,15 @@ _SYM_RR = {_ADD: _sym_add, _SUB: _sym_sub, _MUL: _sym_mul, _SLL: _sym_sll}
 
 
 def _expand(form, lanes):
-    """Per-lane values of a form (a plain register file hands back its
-    raw lane list and a VRF-resident vector its stored one, so callers
-    must not mutate the result)."""
-    t = type(form)
-    if t is list:
-        return form
-    if t is _Vector:
+    """Per-lane values of a form (an uncompressed vector hands back its
+    stored lane list, so callers must not mutate the result)."""
+    if type(form) is _Vector:
         return form.values
     return form.expand(lanes, MASK32)
 
 
 def _expand_meta(form, lanes):
-    t = type(form)
-    if t is list:
-        return form
-    if t is _Vector:
+    if type(form) is _Vector:
         return form.values
     return form.expand(lanes, MASK33)
 
@@ -236,7 +229,7 @@ class VectorBackend(ScalarBackend):
         if entry is None:
             return _NULL_SCALAR
         t = type(entry)
-        if t is _Vector or t is list:
+        if t is _Vector:
             sm._meta_vec_touch = True
             return entry
         if t is not _Spilled:
@@ -244,7 +237,7 @@ class VectorBackend(ScalarBackend):
         form, report = sm.meta.read_form(warp.index, reg)
         if report is not None:
             sm._account_rf(report)
-        if type(form) is _Vector or type(form) is list:
+        if type(form) is _Vector:
             sm._meta_vec_touch = True
         return form
 
@@ -261,8 +254,10 @@ class VectorBackend(ScalarBackend):
             for i in range(n)
         ]
 
-    def _write_rd_form(self, warp, reg, form):
-        """Full-mask write of a non-capability compact result."""
+    def _write_rd_form(self, warp, reg, form, meta_val=None):
+        """Full-mask write of a compact result: null metadata, or the
+        uniform metadata word ``meta_val`` (tag in bit 32) of a
+        capability result."""
         if reg is None or reg == 0:
             return
         sm = self.sm
@@ -271,53 +266,12 @@ class VectorBackend(ScalarBackend):
         meta = sm.meta
         if meta is None:
             return
-        if sm._meta_plain:
+        if meta_val is None:
             meta.write_form(windex, reg, _NULL_SCALAR)
-            sm._meta_vec_touch = True
             return
-        # Inline ``meta.write_form(.., _NULL_SCALAR)``.
-        key = (windex << 8) | reg
-        if type(meta._entries.get(key)) is _Vector:
-            meta.pool.release(meta, windex, reg)
-        meta._entries[key] = _NULL_SCALAR
-        meta.writes_total += 1
-        meta.writes_uniform += 1
-
-    def _write_rd_cap_form(self, warp, reg, gp_form, meta_val):
-        """Full-mask write of a capability result with uniform metadata."""
-        if reg is None or reg == 0:
-            return
-        sm = self.sm
-        sm.gp.write_form(warp.index, reg, gp_form)
-        meta = sm.meta
         if meta_val > MASK32:
-            sm.stats.note_cap_register(warp.index, reg)
-        meta.write_form(warp.index, reg, _Scalar(meta_val, 0))
-        if sm._meta_plain:
-            sm._meta_vec_touch = True
-
-    def _write_rd_raw(self, warp, reg, values, mask, metas, tagged):
-        """Mirror of ``sm._write_rd`` with precomputed metadata values
-        (object-free CLC: no per-lane Capability construction)."""
-        if reg is None or reg == 0:
-            return
-        sm = self.sm
-        windex = warp.index
-        key = (windex << 8) | reg
-        gp = sm.gp
-        report = gp.write(windex, reg, values, mask)
-        if report.spills or report.reloads:
-            sm._account_rf(report)
-        if type(gp._entries[key]) is _Vector:
-            sm._gp_vec_touch = True
-        meta = sm.meta
-        if tagged:
             sm.stats.note_cap_register(windex, reg)
-        report = meta.write(windex, reg, metas, mask)
-        if report.spills or report.reloads:
-            sm._account_rf(report)
-        if sm._meta_plain or type(meta._entries[key]) is _Vector:
-            sm._meta_vec_touch = True
+        meta.write_form(windex, reg, _Scalar(meta_val, 0))
 
     # ------------------------------------------------------------------
     # Object-free capability metadata
@@ -485,13 +439,12 @@ class VectorBackend(ScalarBackend):
                                                 bool(m >> 32)).seal_entry()
                 mv = link.meta_word() | (link.tag << 32)
                 if full:
-                    self._write_rd_cap_form(
+                    self._write_rd_form(
                         warp, instr.rd, _Scalar(next_pc & MASK32, 0), mv)
                 else:
                     num_lanes = sm._num_lanes
-                    self._write_rd_raw(warp, instr.rd,
-                                       [next_pc] * num_lanes, mask,
-                                       [mv] * num_lanes, bool(link.tag))
+                    sm._write_rd(warp, instr.rd, [next_pc] * num_lanes,
+                                 mask, [mv] * num_lanes, bool(link.tag))
             elif full:
                 self._write_rd_form(warp, instr.rd,
                                     _Scalar(next_pc & MASK32, 0))
@@ -712,7 +665,7 @@ class VectorBackend(ScalarBackend):
                 else:
                     metas[i] = hi
                 out[i] = get(index, 0)
-            self._write_rd_raw(warp, instr.rd, out, mask, metas, tagged)
+            sm._write_rd(warp, instr.rd, out, mask, metas, tagged)
             self._fast_mem_timing(op, base + imm, stride, width, num_lanes,
                                   False, warp)
             sm._advance(warp, lanes, pc + 4)
@@ -818,7 +771,7 @@ class VectorBackend(ScalarBackend):
                 meta_val = meta_f.base
             else:
                 # A per-lane metadata form (a partially-null pointer, or
-                # a plain metadata file) whose active lanes usually agree.
+                # a VRF-resident one) whose active lanes usually agree.
                 metas = _expand_meta(meta_f, num_lanes)
                 meta_val = metas[lanes[0]]
                 for lane in lanes:
@@ -904,7 +857,7 @@ class VectorBackend(ScalarBackend):
                 else:
                     out_metas[lane] = hi
                 out[lane] = get(index, 0)
-            self._write_rd_raw(warp, instr.rd, out, mask, out_metas, tagged)
+            sm._write_rd(warp, instr.rd, out, mask, out_metas, tagged)
             self._mem_timing_addrs(op, addrs, width, False, warp, lanes)
             sm._advance(warp, lanes, pc + 4)
             return
@@ -1233,11 +1186,12 @@ class VectorBackend(ScalarBackend):
         """Write a capability result with uniform metadata under any mask
         (full masks write forms, partial masks merge lane lists)."""
         if full:
-            self._write_rd_cap_form(warp, reg, gp_form, meta_val)
+            self._write_rd_form(warp, reg, gp_form, meta_val)
             return
-        num_lanes = self.sm._num_lanes
-        self._write_rd_raw(warp, reg, _expand(gp_form, num_lanes), mask,
-                           [meta_val] * num_lanes, tagged)
+        sm = self.sm
+        num_lanes = sm._num_lanes
+        sm._write_rd(warp, reg, _expand(gp_form, num_lanes), mask,
+                     [meta_val] * num_lanes, tagged)
 
     def _v_cmod1(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -1394,7 +1348,8 @@ class VectorBackend(ScalarBackend):
         ``(meta_val, ref)`` by per-lane operands ``f2`` under any mask.
         Returns True when the result was written, False when an active
         lane leaves the *k*-window (exact per-lane path)."""
-        num_lanes = self.sm._num_lanes
+        sm = self.sm
+        num_lanes = sm._num_lanes
         b = _expand(f2, num_lanes)
         if inc:
             new = [(ref + b[lane]) & MASK32 for lane in lanes]
@@ -1406,8 +1361,7 @@ class VectorBackend(ScalarBackend):
         out = [0] * num_lanes
         for j, lane in enumerate(lanes):
             out[lane] = new[j]
-        self._write_rd_raw(warp, rd, out, mask, [res[0]] * num_lanes,
-                           res[1])
+        sm._write_rd(warp, rd, out, mask, [res[0]] * num_lanes, res[1])
         return True
 
     def _set_addr_window(self, warp, rd, meta_val, ref_form, new_base,
@@ -1430,12 +1384,12 @@ class VectorBackend(ScalarBackend):
         tag, otype, _perms, _bounds, exp, r = self._cap_info(meta_val)
         if not tag:
             # Untagged: set_addr keeps the (cleared) tag and meta word.
-            self._write_rd_cap_form(warp, rd, out, meta_val)
+            self._write_rd_form(warp, rd, out, meta_val)
             return True
         if otype != 0:
             # Sealed capabilities are address-immutable: tag cleared,
             # meta word kept.
-            self._write_rd_cap_form(warp, rd, out, meta_val & MASK32)
+            self._write_rd_form(warp, rd, out, meta_val & MASK32)
             return True
         span_ref = (num_lanes - 1) * ref_form.stride
         ref_lo = ref_form.base + (span_ref if ref_form.stride < 0 else 0)
@@ -1450,7 +1404,7 @@ class VectorBackend(ScalarBackend):
                 (((new_lo >> exp) - r) >> 8) != k or \
                 (((new_hi >> exp) - r) >> 8) != k:
             return False
-        self._write_rd_cap_form(warp, rd, out, meta_val)
+        self._write_rd_form(warp, rd, out, meta_val)
         return True
 
     # ------------------------------------------------------------------

@@ -53,9 +53,11 @@ class SMConfig:
     compress_metadata: bool = False
     #: Share one VRF slot pool between the data and metadata register files
     #: (avoids fragmentation, at the cost of a serialisation stall when an
-    #: access needs uncompressed data *and* metadata).
+    #: access needs uncompressed data *and* metadata).  Requires
+    #: ``compress_metadata``: an uncompressed metadata file has no VRF.
     shared_vrf: bool = False
     #: Null-value optimisation: metadata SRF entries may be partially null.
+    #: Requires ``compress_metadata``: it is a form of the metadata SRF.
     nvo: bool = False
     #: One read port on the metadata SRF; CSC pays one extra operand-fetch
     #: cycle (section 3.2) but the SRF needs half the storage.
@@ -132,6 +134,8 @@ class SMConfig:
                     self.static_pc_metadata)
         if any(features) and not self.enable_cheri:
             raise ValueError("CHERI optimisations require enable_cheri")
+        if (self.shared_vrf or self.nvo) and not self.compress_metadata:
+            raise ValueError("shared_vrf and nvo require compress_metadata")
         return self
 
     def with_(self, **kwargs):

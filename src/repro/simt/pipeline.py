@@ -43,7 +43,7 @@ from repro.simt.backend import create_backend
 from repro.simt.coalescer import coalesce
 from repro.simt.config import SMConfig
 from repro.simt.regfile import CompressedRegFile, PlainRegFile, SlotPool
-from repro.simt.regfile.compressed import _NULL_SCALAR, _Scalar, _Vector
+from repro.simt.regfile.compressed import _NULL_SCALAR, _Vector
 from repro.simt.scratchpad import Scratchpad
 from repro.simt.sfu import SharedFunctionUnit
 from repro.simt.stackcache import StackCache
@@ -166,10 +166,6 @@ class StreamingMultiprocessor:
                 self.meta = CompressedRegFile(cfg.num_lanes, 33, meta_pool,
                                               detect_affine=False,
                                               nvo=cfg.nvo, name="meta")
-        # A plain metadata file reports every held register as
-        # uncompressed; a compressed one never does right after a compact
-        # write.  Cached so write fast paths can skip the query.
-        self._meta_plain = isinstance(self.meta, PlainRegFile)
 
     # ------------------------------------------------------------------
     # Launch interface
@@ -370,22 +366,24 @@ class StreamingMultiprocessor:
     def _read_gp(self, warp, reg):
         if reg == 0:
             return self._zero_lanes
-        if self.gp.is_uncompressed(warp.index, reg):
-            self._gp_vec_touch = True
-        values, report = self.gp.read(warp.index, reg)
-        if report.spills or report.reloads:
+        gp = self.gp
+        form, report = gp.read_form(warp.index, reg)
+        if report is not None:
             self._account_rf(report)
-        return values
+        if type(form) is _Vector:
+            self._gp_vec_touch = True
+        return form.expand(self._num_lanes, gp.value_mask)
 
     def _read_meta(self, warp, reg):
         if reg == 0:
             return self._zero_lanes
-        if self.meta.is_uncompressed(warp.index, reg):
-            self._meta_vec_touch = True
-        values, report = self.meta.read(warp.index, reg)
-        if report.spills or report.reloads:
+        meta = self.meta
+        form, report = meta.read_form(warp.index, reg)
+        if report is not None:
             self._account_rf(report)
-        return values
+        if type(form) is _Vector:
+            self._meta_vec_touch = True
+        return form.expand(self._num_lanes, meta.value_mask)
 
     def _read_caps(self, warp, reg):
         """Materialise per-lane capabilities from the split register files."""
@@ -397,58 +395,36 @@ class StreamingMultiprocessor:
             for i in self._lane_range
         ]
 
-    def _write_rd(self, warp, reg, values, mask, caps=None):
-        """Write rd: general-purpose values plus capability/null metadata."""
+    def _write_rd(self, warp, reg, values, mask, metas=None, tagged=False):
+        """Write rd: general-purpose values plus metadata.
+
+        ``metas`` are the per-lane metadata words (tag in bit 32) of a
+        capability result, ``tagged`` whether an active lane's result is
+        tagged; without ``metas`` rd gets null metadata.
+        """
         if reg is None or reg == 0:
             return
         windex = warp.index
-        key = (windex << 8) | reg
         gp = self.gp
         report = gp.write(windex, reg, values, mask)
         if report.spills or report.reloads:
             self._account_rf(report)
-        # A write leaves the entry compact or VRF-resident, never spilled.
-        if type(gp._entries[key]) is _Vector:
+        if gp.is_vector_resident(windex, reg):
             self._gp_vec_touch = True
         meta = self.meta
         if meta is None:
             return
-        if caps is None:
-            entry = meta._entries.get(key)
-            if mask == self._full_mask or entry is None or (
-                    type(entry) is _Scalar and entry.base == 0 and
-                    entry.stride == 0):
-                # Full-mask null metadata, or masked null over an already
-                # null register (the merged vector is all-zero): the write
-                # compresses to the null scalar.  This is ``meta.write(..)``
-                # with all-zero values, bit for bit, counters included.
-                if self._meta_plain:
-                    meta.write_form(windex, reg, _NULL_SCALAR)
-                    self._meta_vec_touch = True
-                    return
-                if type(entry) is _Vector:
-                    meta.pool.release(meta, windex, reg)
-                meta._entries[key] = _NULL_SCALAR
-                meta.writes_total += 1
-                meta.writes_uniform += 1
+        if metas is None:
+            if mask == self._full_mask:
+                meta.write_form(windex, reg, _NULL_SCALAR)
                 return
             metas = self._zero_lanes
-        else:
-            metas = [0] * self._num_lanes
-            tagged = False
-            for i in self._lane_range:
-                cap = caps[i]
-                if cap is not None:
-                    # bool tag shifts like the 0/1 int it is.
-                    metas[i] = cap.meta_word() | (cap.tag << 32)
-                    if cap.tag:
-                        tagged = True
-            if tagged:
-                self.stats.note_cap_register(windex, reg)
+        elif tagged:
+            self.stats.note_cap_register(windex, reg)
         report = meta.write(windex, reg, metas, mask)
         if report.spills or report.reloads:
             self._account_rf(report)
-        if self._meta_plain or type(meta._entries[key]) is _Vector:
+        if meta.is_vector_resident(windex, reg):
             self._meta_vec_touch = True
 
     def _account_rf(self, report):

@@ -226,24 +226,77 @@ class CompressedRegFile:
                 return _PartialNull(value, mask)
         return None
 
+    def _reload(self, warp, reg, key, entry):
+        """Bring the spilled vector ``entry`` back into the VRF.
+
+        Returns ``(entry, report)``: the now-resident :class:`_Vector` and
+        the reload (plus any spill it caused) for the pipeline to cost.
+        """
+        report = AccessReport()
+        slot = self.pool.acquire(self, warp, reg, report)
+        entry = _Vector(slot, entry.values)
+        self._entries[key] = entry
+        report.reloads += 1
+        self.total_reloads += 1
+        return entry, report
+
+    def _commit(self, warp, reg, key, entry, form, values, report):
+        """Store one written vector; every write ends here.
+
+        Bumps the regularity counters, releases a VRF slot the result no
+        longer needs, acquires one for an uncompressed result and stores
+        the entry.  ``entry`` is what (warp, reg) held, ``form`` the
+        compact form of the written vector, or None to store ``values``
+        uncompressed.  ``report`` carries a reload the write already made.
+        """
+        self.writes_total += 1
+        tf = type(form)
+        if tf is _Scalar:
+            if form.stride == 0:
+                self.writes_uniform += 1
+            else:
+                self.writes_affine += 1
+        elif tf is _PartialNull:
+            self.writes_partial_null += 1
+        if form is not None:
+            if type(entry) is _Vector:
+                self.pool.release(self, warp, reg)
+            self._entries[key] = form
+            return _NO_REPORT if report is None else report
+        if type(entry) is _Vector:
+            entry.values = values
+            return _NO_REPORT if report is None else report
+        if report is None:
+            report = AccessReport()
+        slot = self.pool.acquire(self, warp, reg, report)
+        self._entries[key] = _Vector(slot, values)
+        return report
+
     # -- the pipeline-facing API ----------------------------------------------
 
-    def read(self, warp, reg):
-        """Read a full vector.  Returns (values, AccessReport)."""
+    def read_form(self, warp, reg):
+        """Read a register as its stored compact form.
+
+        Returns ``(form, report_or_None)`` where ``form`` is the internal
+        entry object (:class:`_Scalar`, :class:`_PartialNull` or
+        :class:`_Vector`; a spilled vector is reloaded into the VRF
+        first).  The caller must treat the form as immutable.  The report
+        is ``None`` when the access had no spill/reload side effects to
+        cost.
+        """
         key = (warp << 8) | reg
         entry = self._entries.get(key)
         if entry is None:
-            return [0] * self.lanes, _NO_REPORT
+            return _NULL_SCALAR, None
         if type(entry) is _Spilled:
-            # Dynamic reload: bring the vector back into the VRF.
-            report = AccessReport()
-            slot = self.pool.acquire(self, warp, reg, report)
-            entry = _Vector(slot, entry.values)
-            self._entries[key] = entry
-            report.reloads += 1
-            self.total_reloads += 1
-            return entry.expand(self.lanes, self.value_mask), report
-        return entry.expand(self.lanes, self.value_mask), _NO_REPORT
+            return self._reload(warp, reg, key, entry)
+        return entry, None
+
+    def read(self, warp, reg):
+        """Read a full vector.  Returns (values, AccessReport)."""
+        form, report = self.read_form(warp, reg)
+        return (form.expand(self.lanes, self.value_mask),
+                _NO_REPORT if report is None else report)
 
     def write(self, warp, reg, values, active_mask=None):
         """Write the active lanes of a vector.  Returns an AccessReport.
@@ -260,16 +313,10 @@ class CompressedRegFile:
             if type(entry) is _Spilled:
                 # Fully overwritten: the spilled copy is dead, no reload.
                 entry = None
-                self._entries.pop(key, None)
         else:
             if type(entry) is _Spilled:
                 # Partial write needs the old lanes: reload first.
-                report = AccessReport()
-                slot = self.pool.acquire(self, warp, reg, report)
-                entry = _Vector(slot, entry.values)
-                self._entries[key] = entry
-                report.reloads += 1
-                self.total_reloads += 1
+                entry, report = self._reload(warp, reg, key, entry)
             if type(entry) is _Vector:
                 # Merge into the resident lane list in place.  Safe under
                 # the form-access contract: expansions handed out by
@@ -280,62 +327,22 @@ class CompressedRegFile:
                     if (active_mask >> i) & 1:
                         merged[i] = values[i] & value_mask
             else:
-                old = (entry.expand(self.lanes, value_mask)
-                       if entry is not None else [0] * self.lanes)
+                old = _NULL_SCALAR if entry is None else entry
+                if type(old) is _Scalar and old.stride == 0 and \
+                        values.count(old.base) == self.lanes:
+                    # Every lane already holds the written value (e.g. a
+                    # masked null write over null metadata): the merge
+                    # is the uniform register itself.
+                    return self._commit(warp, reg, key, entry, old, None,
+                                        None)
+                old = old.expand(self.lanes, value_mask)
                 merged = [
                     (values[i] & value_mask)
                     if (active_mask >> i) & 1 else old[i]
                     for i in range(self.lanes)
                 ]
-        compact = self._compress(merged)
-        self.writes_total += 1
-        tc = type(compact)
-        if tc is _Scalar:
-            if compact.stride == 0:
-                self.writes_uniform += 1
-            else:
-                self.writes_affine += 1
-        elif tc is _PartialNull:
-            self.writes_partial_null += 1
-        if compact is not None:
-            if type(entry) is _Vector:
-                self.pool.release(self, warp, reg)
-            self._entries[key] = compact
-            return report if report is not None else _NO_REPORT
-        if type(entry) is _Vector:
-            entry.values = merged
-            return report if report is not None else _NO_REPORT
-        if report is None:
-            report = AccessReport()
-        slot = self.pool.acquire(self, warp, reg, report)
-        self._entries[key] = _Vector(slot, merged)
-        return report
-
-    # -- form-level access (vector backend fast paths) -----------------------
-
-    def read_form(self, warp, reg):
-        """Read a register as its stored compact form.
-
-        Returns ``(form, report_or_None)`` where ``form`` is the internal
-        entry object (:class:`_Scalar`, :class:`_PartialNull` or
-        :class:`_Vector`; a spilled vector is reloaded first, exactly like
-        :meth:`read`).  The caller must treat the form as immutable.  The
-        report is ``None`` when the access had no spill/reload side
-        effects to cost.
-        """
-        key = (warp << 8) | reg
-        entry = self._entries.get(key)
-        if entry is None:
-            return _NULL_SCALAR, None
-        if type(entry) is _Spilled:
-            report = AccessReport()
-            slot = self.pool.acquire(self, warp, reg, report)
-            entry = _Vector(slot, entry.values)
-            self._entries[key] = entry
-            report.reloads += 1
-            self.total_reloads += 1
-            return entry, report
-        return entry, None
+        return self._commit(warp, reg, key, entry, self._compress(merged),
+                            merged, report)
 
     def write_form(self, warp, reg, form):
         """Full-mask write of an already-classified compact form.
@@ -345,23 +352,13 @@ class CompressedRegFile:
         signed stride (0 when ``lanes == 1``; in [-128, 127]; 0 unless
         ``detect_affine``) or a :class:`_PartialNull` (only when ``nvo``:
         nonzero value, mask neither empty nor full, and the expansion not
-        affine-classifiable).  Mirrors the compact branch of :meth:`write`
-        bit-for-bit — including the regularity counters — and can never
+        affine-classifiable).  Commits exactly like a full-mask
+        :meth:`write` of the expansion, counters included, and can never
         spill, so there is nothing to cost.
         """
         key = (warp << 8) | reg
-        entry = self._entries.get(key)
-        self.writes_total += 1
-        if type(form) is _Scalar:
-            if form.stride == 0:
-                self.writes_uniform += 1
-            else:
-                self.writes_affine += 1
-        else:
-            self.writes_partial_null += 1
-        if type(entry) is _Vector:
-            self.pool.release(self, warp, reg)
-        self._entries[key] = form
+        self._commit(warp, reg, key, self._entries.get(key), form, None,
+                     None)
 
     def peek(self, warp, reg):
         """Side-effect-free read of a full vector (checker/debug use).
@@ -377,14 +374,8 @@ class CompressedRegFile:
         return entry.expand(self.lanes, self.value_mask)
 
     def is_vector_resident(self, warp, reg):
-        """True when the register currently occupies a VRF slot (used for
-        the shared-VRF serialisation stall check)."""
-        return isinstance(self._entries.get((warp << 8) | reg), _Vector)
-
-    def is_uncompressed(self, warp, reg):
-        """True when the register is not held compactly in the SRF."""
-        t = type(self._entries.get((warp << 8) | reg))
-        return t is _Vector or t is _Spilled
+        """True when the register currently occupies a VRF slot."""
+        return type(self._entries.get((warp << 8) | reg)) is _Vector
 
     @property
     def resident_vectors(self):
@@ -398,6 +389,10 @@ class PlainRegFile:
     Models the unoptimised CHERI configuration's metadata register file
     ("value regularity in capability metadata is not detected or
     exploited") and is also handy as a behavioural reference in tests.
+    The hardware stores every lane, so nothing here costs or counts;
+    the simulator still keeps a uniform vector as ``_Scalar(v, 0)`` and
+    any other as a slotless :class:`_Vector`, so the vector tier sees
+    the same forms as from a compressed file.
     """
 
     def __init__(self, lanes, width_bits, name="plain"):
@@ -406,55 +401,51 @@ class PlainRegFile:
         self.value_mask = (1 << width_bits) - 1
         self.name = name
         self._entries = {}
+        self._wmask = (1 << lanes) - 1
         self.total_spills = 0
         self.total_reloads = 0
 
+    def read_form(self, warp, reg):
+        """Read a register as its stored form (see
+        :meth:`CompressedRegFile.read_form`); never has side effects to
+        cost."""
+        return self._entries.get((warp << 8) | reg, _NULL_SCALAR), None
+
     def read(self, warp, reg):
-        values = self._entries.get((warp << 8) | reg)
-        if values is None:
-            values = [0] * self.lanes
-        return list(values), _NO_REPORT
+        return self.peek(warp, reg), _NO_REPORT
 
     def write(self, warp, reg, values, active_mask=None):
+        value_mask = self.value_mask
         key = (warp << 8) | reg
-        if active_mask is None or active_mask == (1 << self.lanes) - 1:
-            self._entries[key] = [v & self.value_mask for v in values]
+        if active_mask is None or active_mask == self._wmask:
+            merged = [v & value_mask for v in values]
         else:
-            old = self._entries.get(key, [0] * self.lanes)
-            self._entries[key] = [
-                (values[i] & self.value_mask) if (active_mask >> i) & 1 else old[i]
+            old = self.peek(warp, reg)
+            merged = [
+                (values[i] & value_mask) if (active_mask >> i) & 1 else old[i]
                 for i in range(self.lanes)
             ]
+        first = merged[0]
+        if merged.count(first) == self.lanes:
+            self._entries[key] = _Scalar(first, 0)
+        else:
+            self._entries[key] = _Vector(None, merged)
         return _NO_REPORT
 
-    def read_form(self, warp, reg):
-        """Form-level read: a plain file has no compact forms, so this
-        returns the raw lane list (callers treat a ``list`` form as an
-        uncompressed vector).  Never has side effects to cost."""
-        values = self._entries.get((warp << 8) | reg)
-        if values is None:
-            return _NULL_SCALAR, None
-        return values, None
-
     def write_form(self, warp, reg, form):
-        """Full-mask write of a compact form: expanded to plain storage
-        (a plain file keeps no compression state or counters)."""
-        if type(form) is list:
-            self._entries[(warp << 8) | reg] = [v & self.value_mask for v in form]
-        else:
-            self._entries[(warp << 8) | reg] = form.expand(self.lanes,
-                                                           self.value_mask)
+        """Full-mask write of a compact form (as for
+        :meth:`CompressedRegFile.write_form`, but a plain file keeps no
+        counters and only metadata, whose forms are uniform, is written
+        this way)."""
+        self._entries[(warp << 8) | reg] = form
 
     def peek(self, warp, reg):
         """Side-effect-free read of a full vector (checker/debug use)."""
-        values = self._entries.get((warp << 8) | reg)
-        return [0] * self.lanes if values is None else list(values)
+        return self._entries.get((warp << 8) | reg, _NULL_SCALAR).expand(
+            self.lanes, self.value_mask)
 
     def is_vector_resident(self, warp, reg):
         return False
-
-    def is_uncompressed(self, warp, reg):
-        return ((warp << 8) | reg) in self._entries
 
     @property
     def resident_vectors(self):

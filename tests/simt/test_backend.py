@@ -29,11 +29,16 @@ from repro.simt.config import HEAP_BASE
 from tests.simt.kernels import branch_ladder, frontier_loop
 
 
+#: Test mode -> configuration: ``"cheri"`` is the unoptimised CHERI
+#: configuration (uncompressed metadata file), ``"purecap"`` the
+#: optimised one.
+_FACTORIES = {"baseline": SMConfig.baseline, "cheri": SMConfig.cheri,
+              "purecap": SMConfig.cheri_optimised}
+
+
 def _config(mode, backend, num_warps, num_lanes, **kwargs):
-    factory = (SMConfig.cheri_optimised if mode == "purecap"
-               else SMConfig.baseline)
-    return factory(num_warps=num_warps, num_lanes=num_lanes,
-                   **kwargs).with_(backend=backend)
+    return _FACTORIES[mode](num_warps=num_warps, num_lanes=num_lanes,
+                            **kwargs).with_(backend=backend)
 
 
 @pytest.fixture
@@ -638,14 +643,18 @@ def _parked_flags(threads, lanes, masked):
 @pytest.mark.parametrize("masked", [False, True],
                          ids=["full_mask", "partial_mask"])
 @pytest.mark.parametrize("op", [Op.CINCOFFSET, Op.CSETADDR])
+@pytest.mark.parametrize("mode", ["purecap", "cheri"])
 class TestGatherAddressArithmetic:
     """CIncOffset/CSetAddr of a uniform capability by per-lane
     (non-affine, so VRF-resident) offsets: each result is stored with
-    CSC so its tag, address and metadata reach memory."""
+    CSC so its tag, address and metadata reach memory.  Both metadata
+    register files, compressed and uncompressed, hand the vector tier
+    the same forms, so both configurations take the same arms."""
 
     OUT = HEAP_BASE + 0x1000
 
-    def _run(self, op, source, offsets, num_warps, num_lanes, masked):
+    def _run(self, mode, op, source, offsets, num_warps, num_lanes,
+             masked):
         threads = num_warps * num_lanes
         out_cap, exact = root_capability().set_bounds(self.OUT,
                                                       8 * threads)
@@ -656,7 +665,7 @@ class TestGatherAddressArithmetic:
         prog = _parked_prog([Instr(op, rd=7, rs1=6, rs2=5),
                              Instr(Op.CSC, rs1=8, rs2=7, imm=0)])
         obs, _ = run_both(
-            prog, mode="purecap", num_warps=num_warps,
+            prog, mode=mode, num_warps=num_warps,
             num_lanes=num_lanes,
             init_regs={5: operands,
                        12: _parked_flags(threads, num_lanes, masked)},
@@ -682,31 +691,32 @@ class TestGatherAddressArithmetic:
             offsets[ODD_LANE] = odd
         return offsets
 
-    def test_all_lanes_in_one_window(self, op, masked, num_warps,
+    def test_all_lanes_in_one_window(self, mode, op, masked, num_warps,
                                      num_lanes, vector_spies):
         cap, _ = root_capability().set_bounds(HEAP_BASE, 8 * num_lanes)
-        tagged = self._run(op, cap, self._offsets(num_lanes), num_warps,
-                           num_lanes, masked)
+        tagged = self._run(mode, op, cap, self._offsets(num_lanes),
+                           num_warps, num_lanes, masked)
         assert all(tagged)
         assert vector_spies["_cmod2_core"] == 0
 
     def test_lane_in_another_window_but_representable(
-            self, op, masked, num_warps, num_lanes, vector_spies):
+            self, mode, op, masked, num_warps, num_lanes, vector_spies):
         # A large-exponent capability decodes identically one k-window
         # below its base; the exact path decides representability.
         cap, exact = root_capability().set_bounds(0x80000000, 0x80000000)
         assert exact
         odd = (HEAP_BASE - cap.addr) & 0xFFFFFFFF
-        tagged = self._run(op, cap, self._offsets(num_lanes, odd),
+        tagged = self._run(mode, op, cap, self._offsets(num_lanes, odd),
                            num_warps, num_lanes, masked)
         assert all(tagged)
         assert vector_spies["_cmod2_core"] == num_warps
 
-    def test_unrepresentable_lane_clears_its_tag(self, op, masked,
+    def test_unrepresentable_lane_clears_its_tag(self, mode, op, masked,
                                                  num_warps, num_lanes,
                                                  vector_spies):
         cap, _ = root_capability().set_bounds(HEAP_BASE, 8 * num_lanes)
-        tagged = self._run(op, cap, self._offsets(num_lanes, 0x1000),
+        tagged = self._run(mode, op, cap,
+                           self._offsets(num_lanes, 0x1000),
                            num_warps, num_lanes, masked)
         active = [lane for lane in range(num_lanes)
                   if not (masked and lane == PARKED_LANE)]
@@ -717,12 +727,13 @@ class TestGatherAddressArithmetic:
         assert vector_spies["_cmod2_core"] == num_warps
 
     @pytest.mark.parametrize("source", ["sealed", "untagged"])
-    def test_sealed_and_untagged_sources(self, op, masked, num_warps,
+    def test_sealed_and_untagged_sources(self, mode, op, masked, num_warps,
                                          num_lanes, source, vector_spies):
         cap, _ = root_capability().set_bounds(HEAP_BASE, 8 * num_lanes)
         cap = cap.seal_entry() if source == "sealed" else \
             cap.with_tag_cleared()
-        tagged = self._run(op, cap, self._offsets(num_lanes, 0x1000),
+        tagged = self._run(mode, op, cap,
+                           self._offsets(num_lanes, 0x1000),
                            num_warps, num_lanes, masked)
         assert not any(tagged)
         assert vector_spies["_cmod2_core"] == 0

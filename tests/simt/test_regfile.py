@@ -1,9 +1,16 @@
 """Tests for the compressed register file (SRF/VRF, NVO, shared pool)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simt.regfile import CompressedRegFile, PlainRegFile, SlotPool
+from repro.simt.regfile import (
+    AccessReport,
+    CompressedRegFile,
+    PlainRegFile,
+    SlotPool,
+)
+from repro.simt.regfile.compressed import _Scalar, _Vector
 
 LANES = 8
 FULL_MASK = (1 << LANES) - 1
@@ -246,17 +253,85 @@ class TestWriteRegularityCounters:
         assert rf.writes_uniform == 10
 
 
+def _state(rf, warp, reg):
+    """Everything a write can change: the stored entry (type and fields),
+    the regularity counters and the VRF occupancy."""
+    entry = rf._entries.get((warp << 8) | reg)
+    fields = {name: getattr(entry, name)
+              for name in getattr(entry, "__slots__", ())}
+    return (type(entry).__name__, fields, rf.writes_total,
+            rf.writes_uniform, rf.writes_affine, rf.writes_partial_null,
+            rf.pool.used, rf.resident_vectors)
+
+
+GENERAL = [7, 1, 9, 3, 5, 2, 8, 0]
+
+
+class TestWriteFormContract:
+    """A full-mask ``write`` and ``write_form`` of the same vector's
+    compact form commit identically: same entry, counters and VRF."""
+
+    @staticmethod
+    def _make(kind):
+        if kind == "gp":
+            return make_rf(capacity=1)
+        return CompressedRegFile(LANES, 33, SlotPool(1),
+                                 detect_affine=False, nvo=True)
+
+    @pytest.mark.parametrize("kind,values", [
+        ("gp", [5] * LANES),
+        ("gp", [100 + 4 * i for i in range(LANES)]),
+        ("gp", [(1000 - 3 * i) & 0xFFFFFFFF for i in range(LANES)]),
+        ("meta", [0] * LANES),
+        ("meta", [(1 << 32) | 0xABCD] * LANES),
+        ("meta", [0, 7, 0, 7, 0, 0, 0, 7]),
+    ], ids=["uniform", "affine", "negative_stride", "null", "tagged",
+            "partial_null"])
+    @pytest.mark.parametrize("prior", ["empty", "compact", "resident",
+                                       "spilled"])
+    def test_write_and_write_form_commit_alike(self, kind, values, prior):
+        by_values, by_form = self._make(kind), self._make(kind)
+        for rf in (by_values, by_form):
+            if prior == "compact":
+                rf.write(0, 5, [3] * LANES)
+            elif prior in ("resident", "spilled"):
+                rf.write(0, 5, GENERAL)
+            if prior == "spilled":
+                rf.write(0, 6, [g + 1 for g in GENERAL])  # evicts reg 5
+        form = by_form._compress(values)
+        assert form is not None
+        assert by_values.write(0, 5, values) == AccessReport()
+        by_form.write_form(0, 5, form)
+        assert _state(by_values, 0, 5) == _state(by_form, 0, 5)
+        assert by_form.read(0, 5)[0] == values
+        if prior == "resident":
+            # The overwritten vector released its VRF slot.
+            assert by_form.pool.used == 0
+            assert not by_form.is_vector_resident(0, 5)
+
+
 class TestPlainRegFile:
+    """The uncompressed file stores every lane but hands out the same
+    forms as a compressed one: a uniform vector as ``_Scalar(v, 0)``,
+    any other as a slotless ``_Vector``."""
+
     def test_roundtrip(self):
         rf = PlainRegFile(LANES, 33)
         rf.write(0, 5, [1 << 32] * LANES)
         assert rf.read(0, 5)[0] == [1 << 32] * LANES
+        form, report = rf.read_form(0, 5)
+        assert type(form) is _Scalar and report is None
+        assert (form.base, form.stride) == (1 << 32, 0)
 
     def test_masked_write(self):
         rf = PlainRegFile(LANES, 32)
         rf.write(0, 5, [5] * LANES)
         rf.write(0, 5, [9] * LANES, active_mask=0b1)
         assert rf.read(0, 5)[0] == [9] + [5] * 7
+        assert type(rf.read_form(0, 5)[0]) is _Vector
+        rf.write(0, 5, [5] * LANES, active_mask=0b1)
+        assert type(rf.read_form(0, 5)[0]) is _Scalar
+        assert rf.resident_vectors == 0
 
     def test_never_spills(self):
         rf = PlainRegFile(LANES, 33)
@@ -264,6 +339,9 @@ class TestPlainRegFile:
             rf.write(0, reg, [reg * 17 + i for i in range(LANES)])
         assert rf.total_spills == 0
         assert rf.resident_vectors == 0
+        form, _ = rf.read_form(0, 3)
+        assert type(form) is _Vector and form.slot is None
+        assert form.values == [3 * 17 + i for i in range(LANES)]
 
 
 class TestWidthMasking:

@@ -112,6 +112,13 @@ class TestSMConfig:
         with pytest.raises(ValueError):
             SMConfig(nvo=True).validate()
 
+    @pytest.mark.parametrize("flag", ["shared_vrf", "nvo"])
+    def test_validation_rejects_metadata_options_without_compression(
+            self, flag):
+        with pytest.raises(ValueError, match="compress_metadata"):
+            SMConfig.cheri().with_(**{flag: True})
+        assert getattr(SMConfig.cheri_optimised(), flag)
+
     def test_validation_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             SMConfig(num_warps=0).validate()
