@@ -6,7 +6,7 @@ Commands:
 - ``run BENCH``                 — run one benchmark (verified) and print stats
 - ``listing BENCH``             — print a benchmark kernel's compiled assembly
 - ``trace BENCH``               — run with instruction tracing
-- ``experiment NAME``           — regenerate one table/figure
+- ``results [NAME...]``         — regenerate the artifacts under results/
 - ``bench``                     — run the suite, report wall-clock + cycles
 - ``profile BENCH``             — cycle-attributed hotspot profile
 - ``diff A.json B.json``        — compare two run manifests
@@ -17,7 +17,6 @@ Commands:
 - ``jobs``                      — server job table / stats / drain
 - ``result ID``                 — fetch one job's result from the server
 - ``top``                       — live dashboard for a running serve node
-- ``table3`` / ``headline``     — shortcuts for the area model / abstract
 
 ``run``/``bench`` accept ``--json`` for machine-readable output; every
 ``bench``/``run_suite`` invocation also writes a structured run manifest
@@ -114,16 +113,9 @@ def cmd_run(args):
 
 
 def cmd_listing(args):
+    from repro.eval.runner import kernel_sources
     from repro.nocl.compiler import compile_kernel
-    bench = ALL_BENCHMARKS[args.benchmark]
-    # Find the benchmark module's kernel(s) by naming convention.
-    import inspect
-
-    from repro.nocl.dsl import KernelSource
-    mod = inspect.getmodule(type(bench))
-    kernels = [obj for _, obj in vars(mod).items()
-               if isinstance(obj, KernelSource)]
-    for source in kernels:
+    for source in kernel_sources(args.benchmark).values():
         compiled = compile_kernel(source, args.mode, opt=args.opt)
         print("== %s [%s -O%d], %d instructions =="
               % (source.name, args.mode, args.opt, len(compiled.instrs)))
@@ -163,48 +155,17 @@ def cmd_trace(args):
     return 0
 
 
-def cmd_experiment(args):
-    from repro.eval import experiments, report
-    name = args.name
-    if name == "fig6":
-        print(report.render_fig6(
-            experiments.fig6_cheri_instruction_frequency()))
-    elif name == "table2":
-        print(report.render_table2(experiments.table2_rf_compression()))
-    elif name == "fig7":
-        print(report.render_fig7(experiments.fig7_caplib_costs()))
-    elif name == "fig10":
-        print(report.render_fig10(experiments.fig10_vrf_residency()))
-    elif name == "fig11":
-        print(report.render_fig11(
-            experiments.fig11_capability_registers()))
-    elif name == "fig12":
-        print(report.render_fig12(experiments.fig12_dram_traffic()))
-    elif name == "fig13":
-        rows, mean = experiments.fig13_execution_overhead()
-        print(report.render_overheads(
-            "Figure 13: CHERI (Optimised) execution-time overhead",
-            rows, mean))
-    elif name == "fig14":
-        rows, mean = experiments.fig14_boundscheck_overhead()
-        print(report.render_overheads(
-            "Figure 14: software bounds-checking overhead", rows, mean))
-    elif name == "table3":
-        print(report.render_table3(experiments.table3_synthesis()))
-    elif name == "ablations":
-        from repro.eval.ablations import (
-            hardware_ablation,
-            render_ablation,
-            runtime_ablation,
-        )
-        print(render_ablation(runtime_ablation(), hardware_ablation()))
-    elif name == "headline":
-        summary = experiments.headline_summary()
-        for key, value in summary.items():
-            print("  %-32s %.2f%%" % (key, 100 * value))
-    else:
-        print("unknown experiment %r" % name, file=sys.stderr)
+def cmd_results(args):
+    from repro.eval.experiments import ARTIFACTS, write_artifact
+    unknown = [name for name in args.names if name not in ARTIFACTS]
+    if unknown:
+        print("unknown artifact(s) %s (choose from %s)"
+              % (", ".join(unknown), ", ".join(ARTIFACTS)), file=sys.stderr)
         return 2
+    for name in args.names or ARTIFACTS:
+        text, paths = write_artifact(name)
+        print(text)
+        print("wrote %s\n" % ", ".join(paths))
     return 0
 
 
@@ -598,9 +559,6 @@ def cmd_result(args):
         return 2
 
 
-EXPERIMENTS = ("fig6", "fig7", "fig10", "fig11", "fig12", "fig13", "fig14",
-               "table2", "table3", "ablations", "headline")
-
 BENCH_CONFIGS = ("baseline", "cheri", "cheri_opt", "boundscheck",
                  "cheri_opt_no_nvo", "cheri_opt_split_vrf",
                  "cheri_opt_dual_port_srf", "cheri_opt_lane_bounds",
@@ -633,9 +591,10 @@ def build_parser():
     trace.add_argument("--warp", type=int, default=0)
     _add_mode_args(trace)
 
-    experiment = sub.add_parser("experiment",
-                                help="regenerate a table or figure")
-    experiment.add_argument("name", choices=EXPERIMENTS)
+    results = sub.add_parser(
+        "results", help="regenerate the checked-in artifacts under results/")
+    results.add_argument("names", nargs="*", metavar="NAME",
+                         help="artifact file stems (default: all)")
 
     bench = sub.add_parser(
         "bench", help="run the benchmark suite and report wall-clock")
@@ -843,7 +802,7 @@ def main(argv=None):
         "run": cmd_run,
         "listing": cmd_listing,
         "trace": cmd_trace,
-        "experiment": cmd_experiment,
+        "results": cmd_results,
         "bench": cmd_bench,
         "profile": cmd_profile,
         "diff": cmd_diff,

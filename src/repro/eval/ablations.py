@@ -77,7 +77,9 @@ def hardware_ablation():
     return out
 
 
-def render_ablation(runtime_rows, hardware_rows):
+def render_ablation(data):
+    """Render :func:`repro.eval.experiments.ablations` output."""
+    runtime_rows, hardware_rows = data["runtime"], data["hardware"]
     lines = ["Ablation study: CHERI (Optimised) minus one technique each",
              "  %-24s %12s %12s %14s" % ("ablation", "cycle ovh",
                                          "ALM delta", "storage (Kb)")]

@@ -1,12 +1,24 @@
 """One driver per table/figure of the paper's evaluation (section 4).
 
-Each function returns plain data (rows / series) so the benchmark harness
-can print the same tables the paper reports, and EXPERIMENTS.md can record
-paper-vs-measured.
+Each function returns plain data (rows / series); :data:`ARTIFACTS` pairs
+it with its :mod:`repro.eval.report` renderer under the file stem it is
+checked in as, and :func:`write_artifact` writes ``results/<stem>.*``
+(``python -m repro results [NAME ...]``).
 """
 
+import os
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
 from repro.area.model import paper_geometry, table3_rows
-from repro.benchsuite import BENCHMARK_NAMES
+from repro.benchsuite import ALL_BENCHMARKS, BENCHMARK_NAMES
+from repro.eval import report
+from repro.eval.ablations import (
+    hardware_ablation,
+    render_ablation,
+    runtime_ablation,
+)
 from repro.eval.runner import geomean, run_suite
 from repro.simt.config import REGS_PER_THREAD, SMConfig
 
@@ -137,15 +149,15 @@ def fig12_dram_traffic(scale=1):
 
 def fig13_execution_overhead(scale=1):
     """Per benchmark cycle overhead of CHERI (Optimised) vs Baseline."""
+    return _cycle_overheads("cheri_opt", scale)
+
+
+def _cycle_overheads(config_name, scale):
     base = run_suite("baseline", scale=scale)
-    cheri = run_suite("cheri_opt", scale=scale)
-    rows = []
-    overheads = []
-    for name in BENCHMARK_NAMES:
-        overhead = (cheri[name].stats.cycles / base[name].stats.cycles) - 1.0
-        rows.append((name, overhead))
-        overheads.append(overhead)
-    return rows, geomean(overheads)
+    runs = run_suite(config_name, scale=scale)
+    rows = [(name, runs[name].stats.cycles / base[name].stats.cycles - 1.0)
+            for name in BENCHMARK_NAMES]
+    return {"rows": rows, "geomean": geomean([o for _, o in rows])}
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +171,7 @@ def fig14_boundscheck_overhead(scale=1):
     (34% geomean); the remaining Rust-codegen overhead (46% total) comes
     from compiler differences outside this reproduction's scope.
     """
-    base = run_suite("baseline", scale=scale)
-    checked = run_suite("boundscheck", scale=scale)
-    rows = []
-    overheads = []
-    for name in BENCHMARK_NAMES:
-        overhead = (checked[name].stats.cycles
-                    / base[name].stats.cycles) - 1.0
-        rows.append((name, overhead))
-        overheads.append(overhead)
-    return rows, geomean(overheads)
+    return _cycle_overheads("boundscheck", scale)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +243,8 @@ def fig7_caplib_costs():
 
 def headline_summary(scale=1):
     """The four headline claims, measured on this reproduction."""
-    _, exec_overhead = fig13_execution_overhead(scale=scale)
-    _, bc_overhead = fig14_boundscheck_overhead(scale=scale)
+    exec_overhead = fig13_execution_overhead(scale=scale)["geomean"]
+    bc_overhead = fig14_boundscheck_overhead(scale=scale)["geomean"]
     rows = table3_rows()
     base, cheri, opt = rows
     area_reduction = 1.0 - (opt.alms - base.alms) / (cheri.alms - base.alms)
@@ -263,17 +266,169 @@ def headline_summary(scale=1):
 
 
 # ---------------------------------------------------------------------------
-# Cache prewarming for the experiment harness
+# Ablations (beyond the paper): each section-3 technique off in turn
 # ---------------------------------------------------------------------------
 
-def prewarm(scale=1, jobs=None):
-    """Populate the runner caches for every named evaluation configuration.
+def ablations(scale=1):
+    """Run-time and hardware deltas of each ablation (:mod:`.ablations`)."""
+    return {"runtime": runtime_ablation(scale=scale),
+            "hardware": hardware_ablation()}
 
-    Called once at the start of the table/figure harness so that every
-    experiment afterwards is a memo or disk hit; ``jobs`` fans the cold
-    runs out across worker processes (see :func:`repro.eval.runner
-    .run_suite`).
+
+# ---------------------------------------------------------------------------
+# The optimizer's software bounds-check gap: boundscheck mode, -O0 vs -O1
+# ---------------------------------------------------------------------------
+
+#: Geometry and scale of the gap's cells.  Each cell simulates fresh with
+#: a :class:`repro.obs.BoundsCheckCounter` attached (outside the runner's
+#: caches), so the cells are small.
+OPT_GAP_WARPS = 4
+OPT_GAP_LANES = 4
+OPT_GAP_SCALE = 1
+
+
+def _opt_gap_cell(bench, opt):
+    from repro.nocl import NoCLRuntime
+    from repro.obs import BoundsCheckCounter, attach, detach
+    config = SMConfig.baseline(num_warps=OPT_GAP_WARPS,
+                               num_lanes=OPT_GAP_LANES, opt=opt)
+    rt = NoCLRuntime("boundscheck", config=config)
+    counter = BoundsCheckCounter()
+    attach(rt.sm, counter)
+    try:
+        bench.run(rt, scale=OPT_GAP_SCALE)
+    finally:
+        detach(rt.sm)
+    stats = rt.stats
+    reports = {program.name: program.opt_report
+               for program in rt._compiled.values()
+               if program.opt_report is not None}
+    return {
+        "thread_instrs": stats.thread_instrs,
+        "cycles": stats.cycles,
+        "checks_executed": counter.checks_executed,
+        "static_check_sites": counter.static_sites,
+        "opt_reports": reports or None,
+    }
+
+
+def _pct(old, new):
+    return 100.0 * (new - old) / old if old else 0.0
+
+
+def opt_boundscheck_gap():
+    """Per benchmark in ``boundscheck`` mode: dynamic per-thread
+    instructions, dynamic bounds checks (guard retires x lanes) and cycles
+    at -O0 and -O1, their relative deltas, and each kernel's -O1
+    optimizer pass report."""
+    rows = []
+    for name, bench in ALL_BENCHMARKS.items():
+        o0 = _opt_gap_cell(bench, 0)
+        o1 = _opt_gap_cell(bench, 1)
+        rows.append({
+            "benchmark": name,
+            "o0": {k: v for k, v in o0.items() if k != "opt_reports"},
+            "o1": {k: v for k, v in o1.items() if k != "opt_reports"},
+            "opt_reports": o1["opt_reports"],
+            "delta_pct": {key: round(_pct(o0[key], o1[key]), 3)
+                          for key in ("thread_instrs", "cycles",
+                                      "checks_executed")},
+        })
+    reduced = sum(1 for row in rows
+                  if row["o1"]["checks_executed"]
+                  < row["o0"]["checks_executed"])
+    return {
+        "mode": "boundscheck",
+        "geometry": {"num_warps": OPT_GAP_WARPS,
+                     "num_lanes": OPT_GAP_LANES},
+        "scale": OPT_GAP_SCALE,
+        "benchmarks_with_fewer_dynamic_checks": reduced,
+        "benchmarks_total": len(rows),
+        "rows": rows,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Per-benchmark counters of the artifact's three configurations (.bench)
+# ---------------------------------------------------------------------------
+
+def bench_counters(config_name, scale=1):
+    """The counters the paper artifact's ``sweep.py bench`` records for
+    each benchmark under one of Baseline / CHERI / CHERI (Optimised)."""
+    runs = run_suite(config_name, scale=scale)
+    return [{"benchmark": name,
+             "cycles": runs[name].stats.cycles,
+             "instrs": runs[name].stats.instrs_issued,
+             "ipc": runs[name].stats.ipc,
+             "dram_bytes": runs[name].stats.dram_total_bytes}
+            for name in BENCHMARK_NAMES]
+
+
+# ---------------------------------------------------------------------------
+# The checked-in artifacts: results/<stem>.*
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Artifact:
+    """How one file stem under ``results/`` is produced.
+
+    ``compute()`` returns the plain data and ``render(data)`` its text.
+    A ``.txt`` artifact also writes the data as ``<stem>.json``; the
+    ``.bench`` files keep the artifact's plain counter format alone.
     """
-    from repro.eval.runner import CONFIG_NAMES
-    for config_name in CONFIG_NAMES:
-        run_suite(config_name, scale=scale, jobs=jobs)
+
+    compute: Callable
+    render: Callable
+    suffix: str = ".txt"
+
+
+ARTIFACTS = {
+    "fig6_cheri_instr_freq": Artifact(fig6_cheri_instruction_frequency,
+                                      report.render_fig6),
+    "fig7_caplib_costs": Artifact(fig7_caplib_costs, report.render_fig7),
+    "fig10_vrf_occupancy": Artifact(fig10_vrf_residency,
+                                    report.render_fig10),
+    "fig11_cap_registers": Artifact(fig11_capability_registers,
+                                    report.render_fig11),
+    "fig12_dram_traffic": Artifact(fig12_dram_traffic, report.render_fig12),
+    "fig13_exec_overhead": Artifact(fig13_execution_overhead,
+                                    report.render_fig13),
+    "fig14_rust_overhead": Artifact(fig14_boundscheck_overhead,
+                                    report.render_fig14),
+    "table2_rf_compression": Artifact(table2_rf_compression,
+                                      report.render_table2),
+    "table3_synthesis": Artifact(table3_synthesis, report.render_table3),
+    "headline_claims": Artifact(headline_summary, report.render_headline),
+    "ablations": Artifact(ablations, render_ablation),
+    "simd_efficiency": Artifact(simd_efficiency,
+                                report.render_simd_efficiency),
+    "value_regularity": Artifact(value_regularity,
+                                 report.render_value_regularity),
+    "opt_boundscheck_gap": Artifact(opt_boundscheck_gap,
+                                    report.render_opt_gap),
+    "baseline": Artifact(partial(bench_counters, "baseline"),
+                         report.render_bench, ".bench"),
+    "cheri": Artifact(partial(bench_counters, "cheri"),
+                      report.render_bench, ".bench"),
+    "cheri_opt": Artifact(partial(bench_counters, "cheri_opt"),
+                          report.render_bench, ".bench"),
+}
+
+
+def write_artifact(stem):
+    """Compute and write one artifact; returns (text, written paths).
+
+    Files land in ``repro.RESULTS_DIR``, read at call time.
+    """
+    import repro
+    artifact = ARTIFACTS[stem]
+    data = artifact.compute()
+    text = artifact.render(data)
+    os.makedirs(repro.RESULTS_DIR, exist_ok=True)
+    path = os.path.join(repro.RESULTS_DIR, stem + artifact.suffix)
+    with open(path, "w") as stream:
+        stream.write(text + "\n")
+    paths = [path]
+    if artifact.suffix == ".txt":
+        paths.append(report.write_structured(repro.RESULTS_DIR, stem, data))
+    return text, paths

@@ -192,9 +192,8 @@ def cache_dir():
     override = os.environ.get("REPRO_SIMCACHE_DIR")
     if override:
         return override
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    return os.path.join(root, "results", ".simcache")
+    import repro
+    return os.path.join(repro.RESULTS_DIR, ".simcache")
 
 
 def clear_cache(disk=False):
@@ -240,15 +239,26 @@ def _sources_digest():
     return _sources_digest_memo
 
 
+def kernel_sources(name):
+    """Every :class:`KernelSource` bound in benchmark ``name``'s module,
+    as {attribute name: source} in definition order: the kernels the
+    benchmark can launch, found without running it."""
+    import inspect
+
+    from repro.nocl.dsl import KernelSource
+    mod = inspect.getmodule(type(ALL_BENCHMARKS[name]))
+    return {attr: obj for attr, obj in vars(mod).items()
+            if isinstance(obj, KernelSource)}
+
+
 _kernel_digest_memo = {}
 
 
 def _kernel_digest(name, mode, opt=0):
     """Hash of the benchmark's compiled kernel binaries under ``mode``.
 
-    The kernels are discovered the same way the CLI's ``listing`` command
-    finds them: every :class:`KernelSource` bound in the benchmark's
-    module, compiled at the run's optimization level — so -O0 and -O1
+    The kernels are :func:`kernel_sources` (as for the CLI's ``listing``
+    command), compiled at the run's optimization level — so -O0 and -O1
     results can never alias even before the config repr is hashed.
     Memoised per (benchmark, mode, opt) for the process lifetime, like
     :func:`_sources_digest`: compile output is a pure function of the
@@ -260,18 +270,12 @@ def _kernel_digest(name, mode, opt=0):
         digest = _kernel_digest_memo.get(memo_key)
         if digest is not None:
             return digest
-        import inspect
-
         from repro.nocl.compiler import compile_kernel
-        from repro.nocl.dsl import KernelSource
-        bench = ALL_BENCHMARKS[name]
-        mod = inspect.getmodule(type(bench))
         h = hashlib.sha256()
-        for attr, obj in sorted(vars(mod).items()):
-            if isinstance(obj, KernelSource):
-                words = compile_kernel(obj, mode, opt=opt).to_binary()
-                h.update(attr.encode())
-                h.update(repr(words).encode())
+        for attr, source in sorted(kernel_sources(name).items()):
+            words = compile_kernel(source, mode, opt=opt).to_binary()
+            h.update(attr.encode())
+            h.update(repr(words).encode())
         digest = _kernel_digest_memo[memo_key] = h.digest()
     return digest
 

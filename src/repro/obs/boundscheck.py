@@ -7,11 +7,11 @@ guard emitted in ``boundscheck`` mode and not eliminated by
 sites into dynamic counts: how many guard instructions actually retired,
 weighted by the executed lane count — i.e. per-thread checks performed.
 
-This is the measurement behind ``scripts/opt_gap.py`` and the
-``results/opt_boundscheck_gap.*`` artifact: the paper's argument for
-hardware capability checks rests on software checks being *dynamically*
-frequent, and the optimizer's bounds-check elimination shrinks exactly
-that count.
+This is the measurement behind the ``results/opt_boundscheck_gap.*``
+artifact (``python -m repro results opt_boundscheck_gap``): the paper's
+argument for hardware capability checks rests on software checks being
+*dynamically* frequent, and the optimizer's bounds-check elimination
+shrinks exactly that count.
 """
 
 

@@ -43,8 +43,10 @@ REGRESSION_METRICS = (
 DEFAULT_THRESHOLD = 0.02
 
 
-def _git_revision(root):
+def _git_revision():
     """Best-effort current git revision without shelling out."""
+    import repro
+    root = os.path.dirname(repro.RESULTS_DIR)  # results/ is at the root
     try:
         head_path = os.path.join(root, ".git", "HEAD")
         with open(head_path) as stream:
@@ -71,9 +73,8 @@ def manifest_dir():
     override = os.environ.get("REPRO_MANIFEST_DIR")
     if override:
         return override
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
-    return os.path.join(root, "results", "manifests")
+    import repro
+    return os.path.join(repro.RESULTS_DIR, "manifests")
 
 
 def default_path(config_name, scale, opt=0):
@@ -113,8 +114,6 @@ def build_manifest(results, config_name, scale, wall_seconds,
         if opt_reports is not None:
             benchmarks[name]["opt"] = opt_reports
     first = next(iter(results.values()), None)
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
     return {
         "schema": SCHEMA,
         "generator": "repro.eval.runner",
@@ -129,7 +128,7 @@ def build_manifest(results, config_name, scale, wall_seconds,
         else {},
         "wall_seconds": round(wall_seconds, 6),
         "sources_digest": sources_digest,
-        "git_revision": _git_revision(repo_root),
+        "git_revision": _git_revision(),
         "runner_counters": dict(runner_counters or {}),
         "benchmarks": benchmarks,
     }
@@ -167,13 +166,11 @@ def build_service_manifest(snapshot, jobs=None, telemetry=None):
     drain so a service session leaves the same provenance trail a
     ``run_suite`` invocation does.
     """
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))))
     manifest = {
         "schema": SCHEMA,
         "generator": "repro.serve",
         "created_unix": round(time.time(), 3),
-        "git_revision": _git_revision(repo_root),
+        "git_revision": _git_revision(),
         "service": dict(snapshot),
         "jobs": list(jobs or []),
     }

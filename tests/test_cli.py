@@ -41,14 +41,29 @@ class TestCLI:
         assert "instruction" in out
         assert "w0" in out
 
-    def test_experiment_table3(self, capsys):
-        assert main(["experiment", "table3"]) == 0
-        out = capsys.readouterr().out
-        assert "126753" in out
+    def test_results_match_checked_in_bytes(self, tmp_path, monkeypatch,
+                                            capsys):
+        import repro
+        checked_in = repro.RESULTS_DIR
+        monkeypatch.setattr(repro, "RESULTS_DIR", str(tmp_path))
+        assert main(["results", "table3_synthesis",
+                     "fig7_caplib_costs"]) == 0
+        assert "126753" in capsys.readouterr().out
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == ["fig7_caplib_costs.json", "fig7_caplib_costs.txt",
+                           "table3_synthesis.json", "table3_synthesis.txt"]
+        for name in written:
+            with open("%s/%s" % (checked_in, name), "rb") as stream:
+                assert (tmp_path / name).read_bytes() == stream.read(), name
 
-    def test_experiment_fig7(self, capsys):
-        assert main(["experiment", "fig7"]) == 0
-        assert "setBounds" in capsys.readouterr().out
+    def test_results_unknown_name_exits_two(self, tmp_path, monkeypatch,
+                                            capsys):
+        import repro
+        monkeypatch.setattr(repro, "RESULTS_DIR", str(tmp_path))
+        assert main(["results", "table3_synthesis", "fig99"]) == 2
+        err = capsys.readouterr().err
+        assert "fig99" in err and "fig13_exec_overhead" in err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(SystemExit):
