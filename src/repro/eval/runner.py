@@ -505,11 +505,12 @@ def run_suite(config_name, scale=1, jobs=None, **overrides):
     ordered = {name: results[name] for name in BENCHMARK_NAMES}
     if _manifests_enabled:
         _emit_manifest(ordered, config_name, scale,
-                       time.perf_counter() - suite_start)
+                       time.perf_counter() - suite_start, overrides)
     return ordered
 
 
-def _emit_manifest(results, config_name, scale, wall_seconds):
+def _emit_manifest(results, config_name, scale, wall_seconds,
+                   overrides=None):
     """Write the structured run manifest for one suite invocation.
 
     Best-effort by design: a broken or read-only manifest directory must
@@ -522,10 +523,14 @@ def _emit_manifest(results, config_name, scale, wall_seconds):
     import sys
     from repro.obs import manifest as mf
     try:
+        # Overrides that change the config (-O1 has its own file suffix).
+        default = config_for(config_name)[1]
+        changed = {name: value for name, value in (overrides or {}).items()
+                   if name != "opt" and getattr(default, name) != value}
         manifest = mf.build_manifest(
             results, config_name, scale, wall_seconds,
             sources_digest=_sources_digest().hex(),
-            runner_counters=RUNNER_STATS.snapshot())
+            runner_counters=RUNNER_STATS.snapshot(), overrides=changed)
         # write_manifest itself swallows filesystem errors and returns
         # None — the common failure (read-only results dir) surfaces as
         # that None, not as an exception.

@@ -14,6 +14,7 @@ beyond the threshold, and flags a manifest whose process lost an
 earlier manifest to a failed write (:func:`manifest_failure_alerts`).
 """
 
+import hashlib
 import json
 import os
 import time
@@ -77,21 +78,27 @@ def manifest_dir():
     return os.path.join(repro.RESULTS_DIR, "manifests")
 
 
-def default_path(config_name, scale, opt=0):
-    """Stable per-(config, scale, opt) filename, so reruns overwrite in
-    place — and an ``-O1`` sweep never clobbers the ``-O0`` record."""
+def default_path(config_name, scale, opt=0, overrides=None):
+    """Stable per-(config, scale, opt, overrides) filename, so reruns
+    overwrite in place — and neither an ``-O1`` sweep nor a suite that
+    overrides fields of the named configuration (Table 2's VRF sizes)
+    clobbers the plain ``<config>_s<scale>.json`` record."""
     suffix = "_O%d" % opt if opt else ""
+    if overrides:
+        suffix += "_" + hashlib.sha1(
+            repr(sorted(overrides.items())).encode()).hexdigest()[:8]
     return os.path.join(manifest_dir(),
                         "%s_s%d%s.json" % (config_name, scale, suffix))
 
 
 def build_manifest(results, config_name, scale, wall_seconds,
-                   sources_digest="", runner_counters=None):
+                   sources_digest="", runner_counters=None, overrides=None):
     """Assemble the manifest dict for one ``run_suite`` invocation.
 
     ``results`` maps benchmark name -> :class:`RunResult`.  The SM
     geometry is lifted from the first result's config (identical across
-    the suite by construction).
+    the suite by construction); ``overrides`` are the config fields the
+    suite changed in the named configuration.
     """
     from dataclasses import asdict
     benchmarks = {}
@@ -119,6 +126,7 @@ def build_manifest(results, config_name, scale, wall_seconds,
         "generator": "repro.eval.runner",
         "created_unix": round(time.time(), 3),
         "config": config_name,
+        "overrides": dict(sorted((overrides or {}).items())),
         "mode": mode or "",
         "scale": scale,
         "opt": getattr(first.config, "opt", 0) if first else 0,
@@ -142,7 +150,8 @@ def write_manifest(manifest, path=None):
     """
     if path is None:
         path = default_path(manifest["config"], manifest["scale"],
-                            manifest.get("opt", 0))
+                            manifest.get("opt", 0),
+                            manifest.get("overrides"))
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())

@@ -3,7 +3,8 @@
 A backend is bound to one SM and provides three entry points:
 
 - :meth:`Backend.decode` — classify one static instruction into a
-  ``(handler, aux)`` pair, called once per instruction per launch;
+  ``(handler, aux, falls_through)`` triple, called once per instruction
+  per launch;
 - :meth:`Backend.issue` — execute one instruction for one warp at a given
   cycle, returning the cycle after the consumed issue slot(s);
 - :meth:`Backend.run` — the barrel-scheduler loop, running the launched

@@ -7,10 +7,11 @@ semantic reference the vectorized backend is checked against, so it stays
 deliberately simple: no fused regions, no operand-form tricks.
 
 Dispatch is decode-cached: at launch every static instruction is decoded
-once into a ``(handler, aux)`` pair — the handler is a bound method for
-the instruction's execution group and ``aux`` carries the pre-resolved
-per-lane function and immediates — so the issue loop never re-classifies
-an opcode.
+once into a ``(handler, aux, falls_through)`` triple — the handler is a
+bound method for the instruction's execution group, ``aux`` carries the
+pre-resolved per-lane function and immediates, and ``falls_through``
+tells the issue loop to move the lanes on to pc + 4 itself — so the
+issue loop never re-classifies an opcode.
 """
 
 from repro.cheri.capability import Capability, Perms
@@ -221,8 +222,7 @@ class ScalarBackend(Backend):
         sm._cycle = cycle
         sm._mem_ready = cycle
         sm._extra_issue = 0
-        sm._gp_vec_touch = False
-        sm._meta_vec_touch = False
+        sm._vec_touch = 0
 
         probes = sm.probes
         if probes is not None:
@@ -237,13 +237,16 @@ class ScalarBackend(Backend):
             for lane in lanes:
                 mask |= 1 << lane
 
-        handler, aux = sm._decoded[index]
+        handler, aux, falls_through = sm._decoded[index]
         handler(warp, instr, pc, lanes, mask, aux)
+        if falls_through:
+            # Before the probes' issue event: lockstep checks the next pc.
+            sm._advance(warp, lanes, pc + 4)
 
         # Shared-VRF serialisation: accessing an uncompressed data vector
         # and an uncompressed metadata vector in one instruction costs an
         # extra cycle (section 3.2).
-        if cfg.shared_vrf and sm._gp_vec_touch and sm._meta_vec_touch:
+        if cfg.shared_vrf and sm._vec_touch == 3:
             sm._extra_issue += 1
             stats.stall_shared_vrf += 1
         # One-read-port metadata SRF: CSC needs both cs1 and cs2 metadata,
@@ -282,11 +285,18 @@ class ScalarBackend(Backend):
         return cycle + width
 
     # ------------------------------------------------------------------
-    # Decode: one (handler, aux) pair per static instruction
+    # Decode: one (handler, aux, falls_through) per static instruction
     # ------------------------------------------------------------------
 
     def decode(self, instr):
-        """Classify ``instr`` once; returns (bound handler, aux data).
+        """Decode ``instr`` once: ``(handler, aux, falls_through)``, where
+        ``falls_through`` says the issue loop, not the handler, moves the
+        issuing lanes on to pc + 4 (every handler outside ``_OWN_PC``)."""
+        handler, aux = self._classify(instr)
+        return handler, aux, handler.__func__ not in _OWN_PC
+
+    def _classify(self, instr):
+        """Classify ``instr``; returns (bound handler, aux data).
 
         ``aux`` packs everything the handler needs that is knowable at
         decode time: the per-lane ALU/branch/AMO function, masked
@@ -376,7 +386,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask)
         if is_sfu:
             sm._sfu_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_int_i(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -386,18 +395,15 @@ class ScalarBackend(Backend):
         for lane in lanes:
             out[lane] = fn(a[lane], imm)
         sm._write_rd(warp, instr.rd, out, mask)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_lui(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
         sm._write_rd(warp, instr.rd, [aux] * sm._num_lanes, mask)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_auipc(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
         value = (pc + aux) & MASK32
         sm._write_rd(warp, instr.rd, [value] * sm._num_lanes, mask)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_auipcc(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -411,7 +417,6 @@ class ScalarBackend(Backend):
             caps.append(pcc.set_addr(addr))
         sm._write_rd(warp, instr.rd, [addr] * sm._num_lanes, mask,
                      *_meta_words(caps))
-        sm._advance(warp, lanes, pc + 4)
 
     # --- branches and jumps -------------------------------------------
 
@@ -511,7 +516,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask)
         if is_sfu:
             sm._sfu_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_float_unary(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -523,7 +527,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask)
         if is_sfu:
             sm._sfu_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     # --- memory ----------------------------------------------------------
 
@@ -586,7 +589,6 @@ class ScalarBackend(Backend):
             sm.stats.stall_atomic_serial += conflicts
             sm._write_rd(warp, instr.rd, out, mask)
             sm._memory_access(op, accesses, warp, is_write=True)
-            sm._advance(warp, lanes, pc + 4)
             return
 
         if is_store:
@@ -608,7 +610,6 @@ class ScalarBackend(Backend):
                 for lane, addr, _ in accesses:
                     memory.write(addr, width, values[lane] & value_mask)
             sm._memory_access(op, accesses, warp, is_write=True)
-            sm._advance(warp, lanes, pc + 4)
             return
 
         # Loads.
@@ -630,7 +631,6 @@ class ScalarBackend(Backend):
                 out[lane] = memory.read(addr, width, signed) & MASK32
             sm._write_rd(warp, instr.rd, out, mask)
         sm._memory_access(op, accesses, warp, is_write=False)
-        sm._advance(warp, lanes, pc + 4)
 
     # --- CHERI non-memory --------------------------------------------------
 
@@ -648,7 +648,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask)
         if slow:
             sm._sfu_cheri_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_crr(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -660,7 +659,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask)
         if slow:
             sm._sfu_cheri_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_cmod1(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -677,7 +675,6 @@ class ScalarBackend(Backend):
             out[lane] = cap.addr
             result[lane] = cap
         sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_cmod2(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -697,7 +694,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
         if slow:
             sm._sfu_cheri_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_cimm(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -716,7 +712,6 @@ class ScalarBackend(Backend):
         sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
         if slow:
             sm._sfu_cheri_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _h_cspecialrw(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -730,14 +725,11 @@ class ScalarBackend(Backend):
             out[lane] = pc
             result[lane] = pcc
         sm._write_rd(warp, instr.rd, out, mask, *_meta_words(result))
-        sm._advance(warp, lanes, pc + 4)
 
     # --- SIMT / system -------------------------------------------------------
 
     def _h_barrier(self, warp, instr, pc, lanes, mask, aux):
-        sm = self.sm
-        sm._advance(warp, lanes, pc + 4)
-        sm._enter_barrier(warp)
+        self.sm._enter_barrier(warp)
 
     def _h_halt(self, warp, instr, pc, lanes, mask, aux):
         halted = warp.halted
@@ -754,8 +746,22 @@ class ScalarBackend(Backend):
             thread=thread, pc=pc)
 
     def _h_fence(self, warp, instr, pc, lanes, mask, aux):
-        self.sm._advance(warp, lanes, pc + 4)
+        """Memory accesses complete in order here: nothing to fence."""
 
     def _h_unimplemented(self, warp, instr, pc, lanes, mask, aux):
         from repro.simt.pipeline import SoftwareTrap
         raise SoftwareTrap("unimplemented op %s" % instr.op, pc=pc)
+
+
+#: Handlers that leave the issuing lanes' PC to themselves: control
+#: transfers set it, HALT and traps keep it.  After any other handler the
+#: issue loop moves the lanes on to pc + 4.
+_OWN_PC = frozenset((
+    ScalarBackend._h_branch,
+    ScalarBackend._h_jal,
+    ScalarBackend._h_jalr,
+    ScalarBackend._h_cjalr,
+    ScalarBackend._h_halt,
+    ScalarBackend._h_trap,
+    ScalarBackend._h_unimplemented,
+))

@@ -56,6 +56,7 @@ from repro.simt.regfile.compressed import (
     _Scalar,
     _Spilled,
     _Vector,
+    write_register,
 )
 
 MASK32 = 0xFFFFFFFF
@@ -189,11 +190,11 @@ class VectorBackend(ScalarBackend):
     # ------------------------------------------------------------------
 
     def decode(self, instr):
-        handler, aux = super().decode(instr)
+        handler, aux, falls_through = super().decode(instr)
         v = _VECTOR_FOR.get(handler.__func__)
         if v is not None:
-            return getattr(self, v), aux
-        return handler, aux
+            handler = getattr(self, v)
+        return handler, aux, falls_through
 
     # ------------------------------------------------------------------
     # Operand-form helpers
@@ -210,7 +211,7 @@ class VectorBackend(ScalarBackend):
             return _NULL_SCALAR
         t = type(entry)
         if t is _Vector:
-            sm._gp_vec_touch = True
+            sm._vec_touch |= 1
             return entry
         if t is not _Spilled:
             return entry
@@ -218,7 +219,7 @@ class VectorBackend(ScalarBackend):
         if report is not None:
             sm._account_rf(report)
         if type(form) is _Vector:
-            sm._gp_vec_touch = True
+            sm._vec_touch |= 1
         return form
 
     def _meta_form(self, warp, reg):
@@ -230,7 +231,7 @@ class VectorBackend(ScalarBackend):
             return _NULL_SCALAR
         t = type(entry)
         if t is _Vector:
-            sm._meta_vec_touch = True
+            sm._vec_touch |= 2
             return entry
         if t is not _Spilled:
             return entry
@@ -238,7 +239,7 @@ class VectorBackend(ScalarBackend):
         if report is not None:
             sm._account_rf(report)
         if type(form) is _Vector:
-            sm._meta_vec_touch = True
+            sm._vec_touch |= 2
         return form
 
     def _forms_to_caps(self, f1, meta_f):
@@ -257,21 +258,19 @@ class VectorBackend(ScalarBackend):
     def _write_rd_form(self, warp, reg, form, meta_val=None):
         """Full-mask write of a compact result: null metadata, or the
         uniform metadata word ``meta_val`` (tag in bit 32) of a
-        capability result."""
+        capability result.  Compact forms occupy no VRF slot and never
+        spill, so there is nothing to account."""
         if reg is None or reg == 0:
             return
         sm = self.sm
-        windex = warp.index
-        sm.gp.write_form(windex, reg, form)
-        meta = sm.meta
-        if meta is None:
-            return
         if meta_val is None:
-            meta.write_form(windex, reg, _NULL_SCALAR)
-            return
-        if meta_val > MASK32:
-            sm.stats.note_cap_register(windex, reg)
-        meta.write_form(windex, reg, _Scalar(meta_val, 0))
+            meta_form = _NULL_SCALAR
+        else:
+            meta_form = _Scalar(meta_val, 0)
+            if meta_val > MASK32:
+                sm.stats.note_cap_register(warp.index, reg)
+        write_register(sm.gp, sm.meta, warp.index, reg, form, meta_form,
+                       sm._full_mask)
 
     # ------------------------------------------------------------------
     # Object-free capability metadata
@@ -326,7 +325,6 @@ class VectorBackend(ScalarBackend):
                                  [fn(f1.base, f2.base)] * num_lanes, mask)
                     if is_sfu:
                         sm._sfu_issue(lanes)
-                    sm._advance(warp, lanes, pc + 4)
                     return
             elif full:
                 sym = _SYM_RR.get(fn)
@@ -346,7 +344,6 @@ class VectorBackend(ScalarBackend):
             sm._write_rd(warp, instr.rd, values, mask)
         if is_sfu:
             sm._sfu_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _v_int_i(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -363,7 +360,6 @@ class VectorBackend(ScalarBackend):
                 else:
                     sm._write_rd(warp, instr.rd,
                                  [fn(f1.base, imm)] * num_lanes, mask)
-                    sm._advance(warp, lanes, pc + 4)
                     return
             elif not full:
                 pass
@@ -384,21 +380,16 @@ class VectorBackend(ScalarBackend):
                 for lane in lanes:
                     values[lane] = fn(a[lane], imm)
             sm._write_rd(warp, instr.rd, values, mask)
-        sm._advance(warp, lanes, pc + 4)
 
     def _v_lui(self, warp, instr, pc, lanes, mask, aux):
-        sm = self.sm
-        if mask != sm._full_mask:
+        if mask != self.sm._full_mask:
             return self._h_lui(warp, instr, pc, lanes, mask, aux)
         self._write_rd_form(warp, instr.rd, _Scalar(aux, 0))
-        sm._advance(warp, lanes, pc + 4)
 
     def _v_auipc(self, warp, instr, pc, lanes, mask, aux):
-        sm = self.sm
-        if mask != sm._full_mask:
+        if mask != self.sm._full_mask:
             return self._h_auipc(warp, instr, pc, lanes, mask, aux)
         self._write_rd_form(warp, instr.rd, _Scalar((pc + aux) & MASK32, 0))
-        sm._advance(warp, lanes, pc + 4)
 
     # ------------------------------------------------------------------
     # Branches and jumps
@@ -518,7 +509,6 @@ class VectorBackend(ScalarBackend):
             sm._write_rd(warp, instr.rd, values, mask)
         if is_sfu:
             sm._sfu_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _v_float_unary(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -544,7 +534,6 @@ class VectorBackend(ScalarBackend):
             sm._write_rd(warp, instr.rd, values, mask)
         if is_sfu:
             sm._sfu_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     # ------------------------------------------------------------------
     # Memory
@@ -642,7 +631,6 @@ class VectorBackend(ScalarBackend):
                 addr += stride
             self._fast_mem_timing(op, base + imm, stride, width, num_lanes,
                                   True, warp)
-            sm._advance(warp, lanes, pc + 4)
             return
         if op is Op.CLC:
             # Inline read_cap_raw (same pre-verified-_check argument as the
@@ -668,7 +656,6 @@ class VectorBackend(ScalarBackend):
             sm._write_rd(warp, instr.rd, out, mask, metas, tagged)
             self._fast_mem_timing(op, base + imm, stride, width, num_lanes,
                                   False, warp)
-            sm._advance(warp, lanes, pc + 4)
             return
 
         if is_store:
@@ -710,7 +697,6 @@ class VectorBackend(ScalarBackend):
                     addr += stride
             self._fast_mem_timing(op, base + imm, stride, width, num_lanes,
                                   True, warp)
-            sm._advance(warp, lanes, pc + 4)
             return
 
         # Loads (word, halfword, byte).
@@ -737,7 +723,6 @@ class VectorBackend(ScalarBackend):
         sm._write_rd(warp, instr.rd, out, mask)
         self._fast_mem_timing(op, base + imm, stride, width, num_lanes,
                               False, warp)
-        sm._advance(warp, lanes, pc + 4)
 
     def _v_memory_general(self, warp, instr, pc, lanes, mask, aux, f1,
                           meta_f):
@@ -837,7 +822,6 @@ class VectorBackend(ScalarBackend):
                     tags_discard(index)
                     tags_discard(index + 1)
             self._mem_timing_addrs(op, addrs, width, True, warp, lanes)
-            sm._advance(warp, lanes, pc + 4)
             return
         if op is Op.CLC:
             # Inline read_cap_raw (pre-verified _check, split hi/lo reads
@@ -859,7 +843,6 @@ class VectorBackend(ScalarBackend):
                 out[lane] = get(index, 0)
             sm._write_rd(warp, instr.rd, out, mask, out_metas, tagged)
             self._mem_timing_addrs(op, addrs, width, False, warp, lanes)
-            sm._advance(warp, lanes, pc + 4)
             return
         if is_store:
             f2 = self._gp_form(warp, instr.rs2)
@@ -884,7 +867,6 @@ class VectorBackend(ScalarBackend):
                     words[index] = values[lane] & MASK32
                     discard(index)
             self._mem_timing_addrs(op, addrs, width, True, warp, lanes)
-            sm._advance(warp, lanes, pc + 4)
             return
         get = words.get
         out = [0] * num_lanes
@@ -903,7 +885,6 @@ class VectorBackend(ScalarBackend):
                 out[lane] = get(addrs[j] >> 2, 0)
         sm._write_rd(warp, instr.rd, out, mask)
         self._mem_timing_addrs(op, addrs, width, False, warp, lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _mem_timing_addrs(self, op, addrs, width, is_write, warp, lanes):
         """Timing for an explicit active-lane address list: the general
@@ -1153,7 +1134,6 @@ class VectorBackend(ScalarBackend):
                                    self._forms_to_caps(f1, meta_f))
         if slow:
             sm._sfu_cheri_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _v_crr(self, warp, instr, pc, lanes, mask, aux):
         sm = self.sm
@@ -1179,7 +1159,6 @@ class VectorBackend(ScalarBackend):
             sm._write_rd(warp, instr.rd, values, mask)
         if slow:
             sm._sfu_cheri_issue(lanes)
-        sm._advance(warp, lanes, pc + 4)
 
     def _write_rd_cap_any(self, warp, reg, gp_form, mask, full, meta_val,
                           tagged):
@@ -1194,11 +1173,10 @@ class VectorBackend(ScalarBackend):
                      [meta_val] * num_lanes, tagged)
 
     def _v_cmod1(self, warp, instr, pc, lanes, mask, aux):
-        sm = self.sm
         fn = aux
         f1 = self._gp_form(warp, instr.rs1)
         meta_f = self._meta_form(warp, instr.rs1)
-        full = mask == sm._full_mask
+        full = mask == self.sm._full_mask
         if type(meta_f) is _Scalar and meta_f.stride == 0 and \
                 type(f1) is _Scalar:
             m = meta_f.base
@@ -1206,13 +1184,11 @@ class VectorBackend(ScalarBackend):
                 self._write_rd_cap_any(warp, instr.rd,
                                        _Scalar(f1.base, f1.stride),
                                        mask, full, m, m > MASK32)
-                sm._advance(warp, lanes, pc + 4)
                 return
             if fn is _FN_CCLEARTAG:
                 self._write_rd_cap_any(warp, instr.rd,
                                        _Scalar(f1.base, f1.stride),
                                        mask, full, m & MASK32, False)
-                sm._advance(warp, lanes, pc + 4)
                 return
             if f1.stride == 0:
                 cap = fn(Capability.from_meta_word(m & MASK32, f1.base,
@@ -1220,7 +1196,6 @@ class VectorBackend(ScalarBackend):
                 self._write_rd_cap_any(
                     warp, instr.rd, _Scalar(cap.addr & MASK32, 0),
                     mask, full, cap.meta_word() | (cap.tag << 32), cap.tag)
-                sm._advance(warp, lanes, pc + 4)
                 return
         return self._cmod1_core(warp, instr, pc, lanes, mask, fn,
                                 self._forms_to_caps(f1, meta_f))
@@ -1250,7 +1225,6 @@ class VectorBackend(ScalarBackend):
                                                res[0], res[1])
                         if slow:
                             sm._sfu_cheri_issue(lanes)
-                        sm._advance(warp, lanes, pc + 4)
                         return
                 cap = fn(Capability.from_meta_word(m & MASK32, f1.base,
                                                    m > MASK32), f2.base)
@@ -1259,7 +1233,6 @@ class VectorBackend(ScalarBackend):
                     mask, full, cap.meta_word() | (cap.tag << 32), cap.tag)
                 if slow:
                     sm._sfu_cheri_issue(lanes)
-                sm._advance(warp, lanes, pc + 4)
                 return
             ok = False
             if addr_op:
@@ -1276,7 +1249,6 @@ class VectorBackend(ScalarBackend):
             if ok:
                 if slow:
                     sm._sfu_cheri_issue(lanes)
-                sm._advance(warp, lanes, pc + 4)
                 return
         return self._cmod2_core(warp, instr, pc, lanes, mask, fn, slow,
                                 self._forms_to_caps(f1, meta_f),
@@ -1301,7 +1273,6 @@ class VectorBackend(ScalarBackend):
                                                res[0], res[1])
                         if slow:
                             sm._sfu_cheri_issue(lanes)
-                        sm._advance(warp, lanes, pc + 4)
                         return
                 cap = fn(Capability.from_meta_word(m & MASK32, f1.base,
                                                    m > MASK32), imm)
@@ -1310,13 +1281,11 @@ class VectorBackend(ScalarBackend):
                     mask, full, cap.meta_word() | (cap.tag << 32), cap.tag)
                 if slow:
                     sm._sfu_cheri_issue(lanes)
-                sm._advance(warp, lanes, pc + 4)
                 return
             if full and fn is _FN_CINCOFFSETIMM and self._set_addr_window(
                     warp, instr.rd, m, f1, f1.base + imm, f1.stride):
                 if slow:
                     sm._sfu_cheri_issue(lanes)
-                sm._advance(warp, lanes, pc + 4)
                 return
         return self._cimm_core(warp, instr, pc, lanes, mask, fn, imm, slow,
                                self._forms_to_caps(f1, meta_f))
@@ -1449,6 +1418,7 @@ class VectorBackend(ScalarBackend):
         hot_get = hot.get
         hot_threshold = self._hot_threshold
         masked_prefix = self._masked_prefix
+        advance = sm._advance
 
         # Issue counters are accumulated in plain ints / a per-instruction
         # list and flushed to the stats object in the finally block below,
@@ -1501,48 +1471,53 @@ class VectorBackend(ScalarBackend):
                 mask = 0
                 for lane in lanes:
                     mask |= 1 << lane
-            # Hot-trace entry: selected lanes at a region start queue its
-            # remaining pre-decoded steps, fed one per issue slot by
-            # step_quiet, so the round-robin interleave is unchanged.
-            # Selection, fetch and PCC checks are hoisted here: the
-            # cached PCC decode must cover the whole region, which has
-            # no control flow, halts or barriers.  The regions entry is
-            # the promoted sentinel (built once; the promoting visit
-            # already enters).
-            steps = regions_get(index)
-            if steps is None:
-                count = hot_get(index, 0) + 1
-                hot[index] = count
-                if count >= hot_threshold:
-                    steps = regions[index] = self._build_region(index)
-            if steps:
-                ok = True
-                if enable_cheri:
-                    c = pcc_cache.get(warp.pcc_meta[lanes[0]])
-                    ok = (c is not None and c[2] and c[0] <= pc and
-                          steps[-1][0] + 4 <= c[1])
-                if ok:
-                    if lanes is all_lanes:
-                        warp.rq = [steps, 1, None, 0]
-                    else:
-                        # A diverged group queues only the prefix it is
-                        # guaranteed to keep winning selection for,
-                        # under its lane mask.
-                        prefix = masked_prefix(warp, lanes, steps)
-                        if prefix >= 2:
-                            sub = steps if prefix == len(steps) \
-                                else steps[:prefix]
-                            warp.rq = [sub, 1, lanes, mask]
             instr = program[index]
             sm._cycle = cycle
             sm._mem_ready = cycle
             sm._extra_issue = 0
-            sm._gp_vec_touch = False
-            sm._meta_vec_touch = False
-            handler, aux = decoded[index]
+            sm._vec_touch = 0
+            handler, aux, falls_through = decoded[index]
             handler(warp, instr, pc, lanes, mask, aux)
+            if falls_through:
+                if lanes is all_lanes:
+                    warp.pcs = [pc + 4] * num_lanes
+                else:
+                    for lane in lanes:
+                        warp.pcs[lane] = pc + 4
+                # Hot-trace entry: selected lanes at a region start queue
+                # its remaining pre-decoded steps, fed one per issue slot
+                # by step_quiet, so the round-robin interleave is
+                # unchanged.  Selection, fetch and PCC checks are hoisted
+                # here: the cached PCC decode must cover the whole
+                # region, which has no control flow, halts or barriers.
+                # The regions entry is the promoted sentinel (built once;
+                # the promoting visit already enters).
+                steps = regions_get(index)
+                if steps is None:
+                    count = hot_get(index, 0) + 1
+                    hot[index] = count
+                    if count >= hot_threshold:
+                        steps = regions[index] = self._build_region(index)
+                if steps:
+                    ok = True
+                    if enable_cheri:
+                        c = pcc_cache.get(warp.pcc_meta[lanes[0]])
+                        ok = (c is not None and c[2] and c[0] <= pc and
+                              steps[-1][0] + 4 <= c[1])
+                    if ok:
+                        if lanes is all_lanes:
+                            warp.rq = [steps, 1, None, 0]
+                        else:
+                            # A diverged group queues only the prefix it
+                            # is guaranteed to keep winning selection
+                            # for, under its lane mask.
+                            prefix = masked_prefix(warp, lanes, steps)
+                            if prefix >= 2:
+                                sub = steps if prefix == len(steps) \
+                                    else steps[:prefix]
+                                warp.rq = [sub, 1, lanes, mask]
             extra = sm._extra_issue
-            if shared_vrf and sm._gp_vec_touch and sm._meta_vec_touch:
+            if shared_vrf and sm._vec_touch == 3:
                 extra += 1
                 stats.stall_shared_vrf += 1
             if single_port and instr.op is Op.CSC:
@@ -1581,11 +1556,10 @@ class VectorBackend(ScalarBackend):
             sm._cycle = cycle
             sm._mem_ready = cycle
             sm._extra_issue = 0
-            sm._gp_vec_touch = False
-            sm._meta_vec_touch = False
+            sm._vec_touch = 0
             handler(warp, instr, pc, lanes, mask, aux)
             extra = sm._extra_issue
-            if shared_vrf and sm._gp_vec_touch and sm._meta_vec_touch:
+            if shared_vrf and sm._vec_touch == 3:
                 extra += 1
                 stats.stall_shared_vrf += 1
             if single_port and is_csc:
@@ -1599,7 +1573,10 @@ class VectorBackend(ScalarBackend):
             warp.ready_at = completion
             i += 1
             if i >= len(steps):
+                # The loop owns the PC of straight-line steps and moves
+                # it once, when the region drains (see the finally below).
                 warp.rq = None
+                advance(warp, lanes, pc + 4)
             else:
                 rq[1] = i
             width = 1 + extra
@@ -1616,52 +1593,66 @@ class VectorBackend(ScalarBackend):
             w.rq = None  # stale queues from an aborted or prior program
         count = len(warps)
         live = count
+        # Each warp's effective ready cycle: _FAR_FUTURE while it is done
+        # or waiting at a barrier.  An issue changes only the picked
+        # warp's entry, except a barrier arrival (it bumps barrier_waits),
+        # which may release other warps: then the list is resynced.
+        ready = [_FAR_FUTURE if w.in_barrier else w.ready_at for w in warps]
+        barrier_waits = stats.barrier_waits
         try:
             while live:
-                # done warps park at ready_at == _FAR_FUTURE, so the
-                # ready check alone filters them; in_barrier warps keep
-                # their issue-completion ready_at and need the flag.
                 if rotation >= count:
                     rotation = 0
-                picked = None
-                for i in range(rotation, count):
-                    warp = warps[i]
-                    if warp.ready_at <= cycle and not warp.in_barrier:
-                        picked = warp
-                        break
-                if picked is None:
-                    for i in range(rotation):
-                        warp = warps[i]
-                        if warp.ready_at <= cycle and not warp.in_barrier:
-                            picked = warp
-                            break
-                if picked is None:
-                    next_ready = _FAR_FUTURE
-                    for w in warps:
-                        if not w.done and not w.in_barrier and \
-                                w.ready_at < next_ready:
-                            next_ready = w.ready_at
-                    if next_ready == _FAR_FUTURE:
-                        raise KernelAbort(
-                            "deadlock: all warps blocked on a barrier",
-                            cycle)
-                    cycle = max(cycle + 1, next_ready)
-                    continue
-                rotation = picked.index + 1
-                rq = picked.rq
-                if rq is not None:
-                    cycle = step_quiet(picked, cycle, rq)
+                if ready[rotation] <= cycle:
+                    i = rotation
                 else:
-                    cycle = issue_quiet(picked, cycle)
+                    first = min(ready)
+                    if first > cycle:
+                        # Idle slot: jump straight to the next ready cycle.
+                        if first == _FAR_FUTURE:
+                            raise KernelAbort(
+                                "deadlock: all warps blocked on a barrier",
+                                cycle)
+                        cycle = first
+                        continue
+                    # The first ready warp in round-robin order.
+                    for i in range(rotation + 1, count):
+                        if ready[i] <= cycle:
+                            break
+                    else:
+                        for i in range(rotation):
+                            if ready[i] <= cycle:
+                                break
+                warp = warps[i]
+                rotation = i + 1
+                rq = warp.rq
+                if rq is not None:
+                    cycle = step_quiet(warp, cycle, rq)
+                    ready[i] = warp.ready_at
+                else:
+                    cycle = issue_quiet(warp, cycle)
+                    if stats.barrier_waits == barrier_waits:
+                        ready[i] = warp.ready_at
+                    else:
+                        barrier_waits = stats.barrier_waits
+                        ready = [_FAR_FUTURE if w.in_barrier else w.ready_at
+                                 for w in warps]
                 if cycle > max_cycles:
                     raise KernelAbort("cycle limit exceeded", cycle)
-                if picked.done:
+                if warp.done:
                     live -= 1
         except (CapabilityFault, SoftwareTrap):
             if self.fault_cycle is None:
                 self.fault_cycle = cycle
             raise
         finally:
+            # A warp stopped mid-region gets the PC of its next queued
+            # step, as if every step had moved the PC on itself.
+            for w in warps:
+                rq = w.rq
+                if rq is not None:
+                    advance(w, all_lanes if rq[2] is None else rq[2],
+                            rq[0][rq[1]][0])
             opcode_counts = stats.opcode_counts
             issued = 0
             for idx in range(program_len):
@@ -1726,8 +1717,11 @@ class VectorBackend(ScalarBackend):
         i = index
         end = min(len(program), index + self._max_region)
         while i < end:
-            handler, aux = decoded[i]
-            if handler.__func__ in _REGION_STOP:
+            # A region ends at a handler that owns the PC (control flow,
+            # halts, traps) or may reschedule other warps (a barrier).
+            handler, aux, falls_through = decoded[i]
+            if not falls_through or \
+                    handler.__func__ is ScalarBackend._h_barrier:
                 break
             instr = program[i]
             steps.append((i << 2, instr, handler, aux, instr.op is Op.CSC))
@@ -1753,19 +1747,3 @@ _VECTOR_FOR = {
     ScalarBackend._h_cmod2: "_v_cmod2",
     ScalarBackend._h_cimm: "_v_cimm",
 }
-
-#: Handlers that end a straight-line region: anything that can change PC
-#: non-sequentially, halt lanes, trap, or reschedule other warps.
-_REGION_STOP = frozenset((
-    ScalarBackend._h_branch,
-    ScalarBackend._h_jal,
-    ScalarBackend._h_jalr,
-    ScalarBackend._h_cjalr,
-    ScalarBackend._h_barrier,
-    ScalarBackend._h_halt,
-    ScalarBackend._h_trap,
-    ScalarBackend._h_unimplemented,
-    VectorBackend._v_branch,
-    VectorBackend._v_jal,
-    VectorBackend._v_jalr,
-))

@@ -43,7 +43,7 @@ from repro.simt.backend import create_backend
 from repro.simt.coalescer import coalesce
 from repro.simt.config import SMConfig
 from repro.simt.regfile import CompressedRegFile, PlainRegFile, SlotPool
-from repro.simt.regfile.compressed import _NULL_SCALAR, _Vector
+from repro.simt.regfile.compressed import _NULL_SCALAR, _Vector, write_register
 from repro.simt.scratchpad import Scratchpad
 from repro.simt.sfu import SharedFunctionUnit
 from repro.simt.stackcache import StackCache
@@ -371,7 +371,7 @@ class StreamingMultiprocessor:
         if report is not None:
             self._account_rf(report)
         if type(form) is _Vector:
-            self._gp_vec_touch = True
+            self._vec_touch |= 1
         return form.expand(self._num_lanes, gp.value_mask)
 
     def _read_meta(self, warp, reg):
@@ -382,7 +382,7 @@ class StreamingMultiprocessor:
         if report is not None:
             self._account_rf(report)
         if type(form) is _Vector:
-            self._meta_vec_touch = True
+            self._vec_touch |= 2
         return form.expand(self._num_lanes, meta.value_mask)
 
     def _read_caps(self, warp, reg):
@@ -404,28 +404,17 @@ class StreamingMultiprocessor:
         """
         if reg is None or reg == 0:
             return
-        windex = warp.index
-        gp = self.gp
-        report = gp.write(windex, reg, values, mask)
-        if report.spills or report.reloads:
-            self._account_rf(report)
-        if gp.is_vector_resident(windex, reg):
-            self._gp_vec_touch = True
-        meta = self.meta
-        if meta is None:
-            return
         if metas is None:
-            if mask == self._full_mask:
-                meta.write_form(windex, reg, _NULL_SCALAR)
-                return
-            metas = self._zero_lanes
+            metas = _NULL_SCALAR if mask == self._full_mask \
+                else self._zero_lanes
         elif tagged:
-            self.stats.note_cap_register(windex, reg)
-        report = meta.write(windex, reg, metas, mask)
-        if report.spills or report.reloads:
-            self._account_rf(report)
-        if meta.is_vector_resident(windex, reg):
-            self._meta_vec_touch = True
+            self.stats.note_cap_register(warp.index, reg)
+        touch, reports = write_register(self.gp, self.meta, warp.index, reg,
+                                        values, metas, mask)
+        self._vec_touch |= touch
+        if reports is not None:
+            for report in reports:
+                self._account_rf(report)
 
     def _account_rf(self, report):
         """Convert register spill/reload events into DRAM traffic + waits."""

@@ -14,6 +14,8 @@ from repro.simt.regfile.compressed import (
     CompressedRegFile,
     PlainRegFile,
     SlotPool,
+    write_register,
 )
 
-__all__ = ["AccessReport", "CompressedRegFile", "PlainRegFile", "SlotPool"]
+__all__ = ["AccessReport", "CompressedRegFile", "PlainRegFile", "SlotPool",
+           "write_register"]

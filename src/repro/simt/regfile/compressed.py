@@ -28,11 +28,6 @@ class AccessReport:
         self.spills = spills    # vector registers written back to main memory
         self.reloads = reloads  # spilled vector registers fetched from memory
 
-    def merge(self, other):
-        self.spills += other.spills
-        self.reloads += other.reloads
-        return self
-
     def __eq__(self, other):
         return (isinstance(other, AccessReport)
                 and self.spills == other.spills
@@ -195,37 +190,6 @@ class CompressedRegFile:
         self._entries[key] = _Spilled(entry.values)
         self.total_spills += 1
 
-    def _compress(self, values):
-        """The write-path comparator array: try to find a compact form."""
-        first = values[0]
-        lanes = self.lanes
-        if values.count(first) == lanes:
-            return _Scalar(first, 0)
-        if self.detect_affine and lanes >= 2:
-            mask_bits = self.value_mask
-            stride = (values[1] - first) & mask_bits
-            # Lane 1 matches by construction; walk the rest incrementally.
-            expect = values[1]
-            for i in range(2, lanes):
-                expect = (expect + stride) & mask_bits
-                if values[i] != expect:
-                    break
-            else:
-                # Keep strides small enough for a narrow SRF stride field.
-                signed = stride - (1 << self.width_bits) if stride >> (self.width_bits - 1) else stride
-                if -128 <= signed <= 127:
-                    return _Scalar(first, signed)
-        if self.nvo:
-            nonzero = {v for v in values if v != 0}
-            if len(nonzero) == 1:
-                value = nonzero.pop()
-                mask = 0
-                for i, v in enumerate(values):
-                    if v == value:
-                        mask |= 1 << i
-                return _PartialNull(value, mask)
-        return None
-
     def _reload(self, warp, reg, key, entry):
         """Bring the spilled vector ``entry`` back into the VRF.
 
@@ -239,38 +203,6 @@ class CompressedRegFile:
         report.reloads += 1
         self.total_reloads += 1
         return entry, report
-
-    def _commit(self, warp, reg, key, entry, form, values, report):
-        """Store one written vector; every write ends here.
-
-        Bumps the regularity counters, releases a VRF slot the result no
-        longer needs, acquires one for an uncompressed result and stores
-        the entry.  ``entry`` is what (warp, reg) held, ``form`` the
-        compact form of the written vector, or None to store ``values``
-        uncompressed.  ``report`` carries a reload the write already made.
-        """
-        self.writes_total += 1
-        tf = type(form)
-        if tf is _Scalar:
-            if form.stride == 0:
-                self.writes_uniform += 1
-            else:
-                self.writes_affine += 1
-        elif tf is _PartialNull:
-            self.writes_partial_null += 1
-        if form is not None:
-            if type(entry) is _Vector:
-                self.pool.release(self, warp, reg)
-            self._entries[key] = form
-            return _NO_REPORT if report is None else report
-        if type(entry) is _Vector:
-            entry.values = values
-            return _NO_REPORT if report is None else report
-        if report is None:
-            report = AccessReport()
-        slot = self.pool.acquire(self, warp, reg, report)
-        self._entries[key] = _Vector(slot, values)
-        return report
 
     # -- the pipeline-facing API ----------------------------------------------
 
@@ -304,61 +236,10 @@ class CompressedRegFile:
         ``active_mask`` is a bit mask of lanes to write (None = all): under
         control-flow divergence only the selected threads write back.
         """
-        report = None
-        value_mask = self.value_mask
-        key = (warp << 8) | reg
-        entry = self._entries.get(key)
-        if active_mask is None or active_mask == self._wmask:
-            merged = [v & value_mask for v in values]
-            if type(entry) is _Spilled:
-                # Fully overwritten: the spilled copy is dead, no reload.
-                entry = None
-        else:
-            if type(entry) is _Spilled:
-                # Partial write needs the old lanes: reload first.
-                entry, report = self._reload(warp, reg, key, entry)
-            if type(entry) is _Vector:
-                # Merge into the resident lane list in place.  Safe under
-                # the form-access contract: expansions handed out by
-                # read_form are only read within the issuing instruction,
-                # and all of an instruction's reads precede its writes.
-                merged = entry.values
-                for i in range(self.lanes):
-                    if (active_mask >> i) & 1:
-                        merged[i] = values[i] & value_mask
-            else:
-                old = _NULL_SCALAR if entry is None else entry
-                if type(old) is _Scalar and old.stride == 0 and \
-                        values.count(old.base) == self.lanes:
-                    # Every lane already holds the written value (e.g. a
-                    # masked null write over null metadata): the merge
-                    # is the uniform register itself.
-                    return self._commit(warp, reg, key, entry, old, None,
-                                        None)
-                old = old.expand(self.lanes, value_mask)
-                merged = [
-                    (values[i] & value_mask)
-                    if (active_mask >> i) & 1 else old[i]
-                    for i in range(self.lanes)
-                ]
-        return self._commit(warp, reg, key, entry, self._compress(merged),
-                            merged, report)
-
-    def write_form(self, warp, reg, form):
-        """Full-mask write of an already-classified compact form.
-
-        The caller guarantees ``form`` is exactly what :meth:`_compress`
-        would produce for its expansion: a :class:`_Scalar` with canonical
-        signed stride (0 when ``lanes == 1``; in [-128, 127]; 0 unless
-        ``detect_affine``) or a :class:`_PartialNull` (only when ``nvo``:
-        nonzero value, mask neither empty nor full, and the expansion not
-        affine-classifiable).  Commits exactly like a full-mask
-        :meth:`write` of the expansion, counters included, and can never
-        spill, so there is nothing to cost.
-        """
-        key = (warp << 8) | reg
-        self._commit(warp, reg, key, self._entries.get(key), form, None,
-                     None)
+        reports = write_register(
+            self, None, warp, reg, values, None,
+            self._wmask if active_mask is None else active_mask)[1]
+        return _NO_REPORT if reports is None else reports[0]
 
     def peek(self, warp, reg):
         """Side-effect-free read of a full vector (checker/debug use).
@@ -432,21 +313,145 @@ class PlainRegFile:
             self._entries[key] = _Vector(None, merged)
         return _NO_REPORT
 
-    def write_form(self, warp, reg, form):
-        """Full-mask write of a compact form (as for
-        :meth:`CompressedRegFile.write_form`, but a plain file keeps no
-        counters and only metadata, whose forms are uniform, is written
-        this way)."""
-        self._entries[(warp << 8) | reg] = form
-
     def peek(self, warp, reg):
         """Side-effect-free read of a full vector (checker/debug use)."""
         return self._entries.get((warp << 8) | reg, _NULL_SCALAR).expand(
             self.lanes, self.value_mask)
 
-    def is_vector_resident(self, warp, reg):
-        return False
-
     @property
     def resident_vectors(self):
         return 0
+
+
+def write_register(gp, meta, warp, reg, value, meta_value, mask):
+    """Write register ``reg`` of ``warp``: ``value`` into the
+    general-purpose file ``gp`` and ``meta_value`` into the metadata file
+    ``meta`` (None without CHERI, then ``meta_value`` is ignored).
+
+    Every register write ends here.  A value is a lane list written
+    under the lane bit ``mask``, or, with a full mask only, a compact
+    form already classified as the write-path comparator array would
+    classify its expansion: a :class:`_Scalar` with canonical signed
+    stride (0 when ``lanes == 1``; in [-128, 127]; 0 unless
+    ``detect_affine``) or a :class:`_PartialNull` (only when ``nvo``:
+    nonzero value, mask neither empty nor full, and the expansion not
+    affine-classifiable).  Each compressed file bumps its regularity
+    counters, releases a VRF slot its result no longer needs and
+    acquires one for an uncompressed result.
+
+    Returns ``(touch, reports)``: ``touch`` has bit 0 set when the value
+    now occupies a VRF slot and bit 1 when the metadata does; ``reports``
+    is None or the spill/reload reports to cost, the value's first.
+    """
+    key = (warp << 8) | reg
+    touch = 0
+    reports = None
+    rf = gp
+    v = value
+    bit = 1
+    while True:
+        entries = rf._entries
+        entry = entries.get(key)
+        if type(v) is not list:
+            form = v
+        else:
+            lanes = rf.lanes
+            value_mask = rf.value_mask
+            form = None
+            if mask == rf._wmask:
+                merged = list(map(value_mask.__and__, v))
+                if type(entry) is _Spilled:
+                    # Fully overwritten: the spilled copy is dead, no reload.
+                    entry = None
+            else:
+                if type(entry) is _Spilled:
+                    # Partial write needs the old lanes: reload first.
+                    entry, report = rf._reload(warp, reg, key, entry)
+                    reports = (reports or []) + [report]
+                old = _NULL_SCALAR if entry is None else entry
+                if type(old) is _Vector:
+                    # Merge into the resident lane list in place.  Safe
+                    # under the form-access contract: expansions handed
+                    # out by read_form are only read within the issuing
+                    # instruction, and all of an instruction's reads
+                    # precede its writes.
+                    merged = old.values
+                elif type(old) is _Scalar and old.stride == 0 and \
+                        v.count(old.base) == lanes:
+                    # Every lane already holds the written value (e.g. a
+                    # masked null write over null metadata): the merge is
+                    # the uniform register itself.
+                    form = old
+                else:
+                    merged = old.expand(lanes, value_mask)
+                if form is None:
+                    for i in range(lanes):
+                        if (mask >> i) & 1:
+                            merged[i] = v[i] & value_mask
+            if form is None:
+                # The write-path comparator array: find a compact form.
+                first = merged[0]
+                if merged.count(first) == lanes:
+                    form = _Scalar(first, 0)
+                else:
+                    if rf.detect_affine and lanes >= 2:
+                        stride = (merged[1] - first) & value_mask
+                        # Lane 1 matches by construction; walk the rest.
+                        expect = merged[1]
+                        for i in range(2, lanes):
+                            expect = (expect + stride) & value_mask
+                            if merged[i] != expect:
+                                break
+                        else:
+                            # Keep strides small enough for a narrow SRF
+                            # stride field.
+                            if stride >> (rf.width_bits - 1):
+                                stride -= 1 << rf.width_bits
+                            if -128 <= stride <= 127:
+                                form = _Scalar(first, stride)
+                    if form is None and rf.nvo:
+                        nonzero = {x for x in merged if x != 0}
+                        if len(nonzero) == 1:
+                            nz = nonzero.pop()
+                            nz_mask = 0
+                            for i, x in enumerate(merged):
+                                if x == nz:
+                                    nz_mask |= 1 << i
+                            form = _PartialNull(nz, nz_mask)
+        rf.writes_total += 1
+        if form is not None:
+            if type(form) is _Scalar:
+                if form.stride:
+                    rf.writes_affine += 1
+                else:
+                    rf.writes_uniform += 1
+            else:
+                rf.writes_partial_null += 1
+            if type(entry) is _Vector:
+                rf.pool.release(rf, warp, reg)
+            entries[key] = form
+        else:
+            touch |= bit
+            if type(entry) is _Vector:
+                entry.values = merged
+            else:
+                # A new slot: a reloaded entry is already resident.
+                report = AccessReport()
+                entries[key] = _Vector(
+                    rf.pool.acquire(rf, warp, reg, report), merged)
+                if report.spills:
+                    reports = (reports or []) + [report]
+        if meta is None:
+            return touch, reports
+        if type(meta) is PlainRegFile:
+            # Stores every lane: nothing to count or cost.
+            if type(meta_value) is list:
+                meta.write(warp, reg, meta_value, mask)
+            else:
+                meta._entries[key] = meta_value
+            return touch, reports
+        # Second pass: the same commit into the metadata file, then stop.
+        rf = meta
+        v = meta_value
+        bit = 2
+        meta = None

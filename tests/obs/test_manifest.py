@@ -25,8 +25,9 @@ def isolated(tmp_path, monkeypatch):
 
 def _suite_manifest(tmp_path, config="cheri_opt"):
     runner.run_suite(config, jobs=1, **GEOMETRY)
-    path = os.path.join(str(tmp_path / "manifests"),
-                        "%s_s1.json" % config)
+    # The test geometry overrides the evaluation one.
+    path = mf.default_path(config, 1, overrides=GEOMETRY)
+    assert os.path.dirname(path) == str(tmp_path / "manifests")
     assert os.path.exists(path), "run_suite must emit a manifest"
     return mf.load_manifest(path), path
 
@@ -58,9 +59,7 @@ class TestEmission:
         runner.set_manifests(False)
         try:
             runner.run_suite("baseline", jobs=1, **GEOMETRY)
-            assert not os.path.exists(
-                os.path.join(str(isolated / "manifests"),
-                             "baseline_s1.json"))
+            assert not os.path.exists(str(isolated / "manifests"))
         finally:
             runner.set_manifests(True)
 
@@ -70,6 +69,38 @@ class TestEmission:
                            "/proc/definitely/not/writable")
         results = runner.run_suite("baseline", jobs=1, **GEOMETRY)
         assert set(results) == set(BENCHES)
+
+
+class TestManifestPaths:
+    """One file per distinct configuration: overrides that change the
+    named configuration key the filename; plain configs keep
+    ``<config>_s<scale>[_O<n>].json``."""
+
+    def test_plain_and_default_valued_overrides_keep_the_plain_name(
+            self, isolated):
+        for overrides in ({}, {"num_warps": 32, "vrf_fraction": 0.375}):
+            path = runner._emit_manifest({}, "baseline", 1, 0.0, overrides)
+            assert os.path.basename(path) == "baseline_s1.json"
+        # opt is not an override of the filename: -O1 has its own suffix.
+        path = runner._emit_manifest({}, "baseline", 1, 0.0, {"opt": 1})
+        assert os.path.basename(path) == "baseline_s1.json"
+        assert os.path.basename(mf.default_path("baseline", 1, 1)) == \
+            "baseline_s1_O1.json"
+
+    def test_table2_vrf_sizes_get_one_file_each(self, isolated):
+        fractions = (1.0, 0.5, 0.375, 0.25, 0.125, 0.0625)
+        paths = [runner._emit_manifest({}, "baseline", 1, 0.0,
+                                       {"vrf_fraction": f})
+                 for f in fractions]
+        assert len(set(paths)) == len(fractions)
+        assert os.path.basename(paths[2]) == "baseline_s1.json"
+        overridden = mf.load_manifest(paths[0])
+        assert overridden["overrides"] == {"vrf_fraction": 1.0}
+        assert os.path.basename(paths[0]).startswith("baseline_s1_")
+
+    def test_override_order_does_not_matter(self):
+        assert mf.default_path("cheri_opt", 1, 1, {"a": 1, "b": 2}) == \
+            mf.default_path("cheri_opt", 1, 1, {"b": 2, "a": 1})
 
 
 class TestDiff:

@@ -70,7 +70,11 @@ def server(tmp_path_factory):
                           manifest_dir)
     if process.poll() is None:
         process.terminate()
-        process.wait(timeout=15)
+        try:
+            process.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
 
 
 def test_ping_reports_protocol_version(server):

@@ -547,6 +547,192 @@ class TestMaskedMidRegionFault:
         assert any(prefix >= 2 for prefix in masked_entries)
 
 
+def _abort_view(backend, prog, mode="baseline", num_warps=2, num_lanes=4,
+                init_regs=None, init_cap_regs=None, setup=None,
+                warps_per_block=1, max_cycles=200_000_000, **kwargs):
+    """Everything an unprobed launch leaves behind, aborted or not:
+    stats, memory, tags, every warp's PCs and halted lanes, and the abort
+    (cause, the cause's pc, abort cycle, the backend's fault cycle)."""
+    sm = StreamingMultiprocessor(
+        _config(mode, backend, num_warps, num_lanes, **kwargs))
+    if setup is not None:
+        setup(sm)
+    abort = None
+    try:
+        sm.launch(prog, init_regs=init_regs, init_cap_regs=init_cap_regs,
+                  warps_per_block=warps_per_block, max_cycles=max_cycles)
+    except KernelAbort as exc:
+        cause = exc.cause
+        abort = (type(cause).__name__, str(cause),
+                 getattr(cause, "pc", None), exc.cycle,
+                 sm.backend.fault_cycle)
+    view = {
+        "stats": asdict(sm.stats),
+        "words": dict(sm.memory._words),
+        "tags": set(sm.memory._tags),
+        "pcs": [list(w.pcs) for w in sm.warps],
+        "halted": [list(w.halted) for w in sm.warps],
+        "abort": abort,
+    }
+    return view, sm.backend
+
+
+def abort_both(prog, **kwargs):
+    """Run on both backends, assert identical views (PCs and abort
+    included); return the scalar view and the vector backend."""
+    scalar, _ = _abort_view("scalar", prog, **kwargs)
+    vector, backend = _abort_view("vector", prog, **kwargs)
+    assert scalar == vector
+    return scalar, backend
+
+
+class TestBarrelScheduler:
+    """The vector tier picks warps from a ready list and jumps over idle
+    slots; the interleave must be the reference one, through barriers,
+    DRAM-latency idle slots, VRF spills and deadlock."""
+
+    WARPS, LANES, BLOCK_WARPS = 32, 8, 4
+
+    def _tiled(self, trips=3):
+        """Each block of 4 warps stages its DRAM tile in the scratchpad,
+        meets at a barrier, reads a neighbouring warp's slot and writes
+        back: per-block barriers, DRAM waits with every warp stalled, and
+        general vectors for a small VRF to spill."""
+        from repro.simt.config import SCRATCHPAD_BASE
+        threads = self.WARPS * self.LANES
+        block = self.BLOCK_WARPS * self.LANES
+        out = HEAP_BASE + 4 * threads
+        prog = [
+            Instr(Op.LW, rd=10, rs1=5, imm=0),            # DRAM tile
+            Instr(Op.ADD, rd=10, rs1=10, rs2=9),
+            Instr(Op.MUL, rd=11, rs1=10, rs2=10),
+            Instr(Op.SW, rs1=6, rs2=10, imm=0),           # own slot
+            Instr(Op.BARRIER),
+            Instr(Op.LW, rd=12, rs1=7, imm=0),            # neighbour
+            Instr(Op.ADD, rd=12, rs1=12, rs2=11),
+            Instr(Op.SW, rs1=8, rs2=12, imm=0),
+            Instr(Op.BARRIER),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=-1),
+            Instr(Op.BNE, rs1=9, rs2=0, imm=-40),
+            Instr(Op.HALT),
+        ]
+        slot = [SCRATCHPAD_BASE + 4 * (t % block) for t in range(threads)]
+        regs = {5: heap_slots(threads),
+                6: slot,
+                7: [slot[(t + self.LANES) % block + t // block * block]
+                    for t in range(threads)],
+                8: heap_slots(threads, out),
+                9: [trips] * threads}
+
+        def setup(sm):
+            for t in range(threads):
+                sm.memory.write(HEAP_BASE + 4 * t, 4,
+                                (t * 2654435761) & 0xFFFF)
+        return prog, regs, setup
+
+    @pytest.mark.parametrize("vrf_fraction", [0.0625, 0.375])
+    def test_tiled_kernel_matches_scalar(self, eager_regions, vrf_fraction):
+        prog, regs, setup = self._tiled()
+        view, backend = abort_both(
+            prog, num_warps=self.WARPS, num_lanes=self.LANES,
+            init_regs=regs, setup=setup, warps_per_block=self.BLOCK_WARPS,
+            vrf_fraction=vrf_fraction)
+        stats = view["stats"]
+        assert view["abort"] is None
+        assert stats["barrier_waits"] == 2 * 3 * self.WARPS
+        # Idle slots: cycles no warp could issue in.
+        assert stats["cycles"] > stats["instrs_issued"] + \
+            stats["stall_bank_conflict"] + stats["stall_shared_vrf"]
+        if vrf_fraction < 0.1:
+            assert stats["gp_spills"] > 0
+        assert 0x0 in _formed(backend)
+
+    def test_deadlock_aborts_at_the_same_cycle(self):
+        # Warp 0 waits at the barrier while warp 1, its block partner,
+        # halts after a DRAM load: nobody is left to release warp 0.
+        prog = [
+            Instr(Op.BNE, rs1=12, rs2=0, imm=12),
+            Instr(Op.BARRIER),
+            Instr(Op.HALT),
+            Instr(Op.LW, rd=10, rs1=5, imm=0),
+            Instr(Op.HALT),
+        ]
+        regs = {5: heap_slots(8), 12: [0] * 4 + [1] * 4}
+        view, _ = abort_both(prog, num_warps=2, num_lanes=4, init_regs=regs,
+                             warps_per_block=2)
+        kind, message, _pc, cycle, _fault_cycle = view["abort"]
+        assert (kind, message) == (
+            "str", "deadlock: all warps blocked on a barrier")
+        assert cycle > 40  # after warp 1's DRAM load came back
+        assert view["halted"] == [[False] * 4, [True] * 4]
+
+
+class TestPreciseAbortState:
+    """An abort leaves the same PCs, abort cycle and fault pc as the
+    scalar reference, also when it hits the middle of a fused region
+    whose steps leave the PC to the issue loop."""
+
+    @pytest.mark.parametrize("bad_lane", [None, 2])
+    def test_fault_mid_full_region(self, eager_regions, bad_lane):
+        prog, regs, caps = TestMidRegionFault()._fault_loop(
+            bad_lane=bad_lane)
+        view, backend = abort_both(prog, mode="purecap", num_warps=1,
+                                   init_regs=regs, init_cap_regs=caps)
+        assert view["abort"][0] == "BoundsViolation"
+        assert view["abort"][2] == 0xC
+        assert view["pcs"] == [[0xC] * 4]
+        assert _faulting_step(backend) == (0xC, None)
+
+    def test_fault_at_region_entry(self, eager_regions):
+        # The region's first instruction faults: no step is queued yet.
+        prog = [
+            Instr(Op.ADDI, rd=9, rs1=0, imm=0),
+            Instr(Op.BGE, rs1=9, rs2=5, imm=20),          # loop head
+            Instr(Op.CLW, rd=11, rs1=6, imm=0),           # region start
+            Instr(Op.CINCOFFSETIMM, rd=6, rs1=6, imm=4),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=1),
+            Instr(Op.JAL, rd=0, imm=-16),
+            Instr(Op.HALT),
+        ]
+        cap, exact = root_capability().set_bounds(HEAP_BASE, 4 * 8)
+        assert exact
+        view, backend = abort_both(
+            prog, mode="purecap", num_warps=1, init_regs={5: [12] * 4},
+            init_cap_regs={6: [cap.set_addr(HEAP_BASE)] * 4})
+        assert view["abort"][0] == "BoundsViolation"
+        assert view["abort"][2] == 0x8
+        assert view["pcs"] == [[0x8] * 4]
+        assert 0x8 in _formed(backend)
+        assert _faulting_step(backend) is None
+
+    @pytest.mark.parametrize("bad_lane", [None, 1])
+    def test_fault_mid_masked_region(self, eager_regions, masked_entries,
+                                     bad_lane):
+        prog, regs, caps = TestMaskedMidRegionFault()._masked_fault_loop(
+            bad_lane=bad_lane)
+        view, backend = abort_both(prog, mode="purecap", num_warps=1,
+                                   init_regs=regs, init_cap_regs=caps)
+        assert view["abort"][0] == "BoundsViolation"
+        assert view["abort"][2] == 0x10
+        # The parked lane sits at its HALT; the others at the CLW.
+        assert view["pcs"] == [[0x10, 0x10, 0x10, 0x20]]
+        pc, lanes = _faulting_step(backend)
+        assert pc == 0x10 and lanes == [0, 1, 2]
+
+    def test_cycle_limit_inside_a_region(self, eager_regions):
+        # Every limit short of the clean run's length aborts; some abort
+        # while a warp is still queued inside a region.
+        prog, regs = _alu_loop()
+        clean, _ = abort_both(prog, init_regs=regs)
+        mid_region = 0
+        for max_cycles in range(1, clean["stats"]["cycles"]):
+            view, backend = abort_both(prog, init_regs=regs,
+                                       max_cycles=max_cycles)
+            assert view["abort"][:2] == ("str", "cycle limit exceeded")
+            mid_region += any(w.rq is not None for w in backend.sm.warps)
+        assert mid_region > 0
+
+
 class TestBackendSelection:
     def test_default_is_vector(self):
         assert SMConfig().backend == "vector"

@@ -9,8 +9,14 @@ from repro.simt.regfile import (
     CompressedRegFile,
     PlainRegFile,
     SlotPool,
+    write_register,
 )
-from repro.simt.regfile.compressed import _Scalar, _Vector
+from repro.simt.regfile.compressed import (
+    _PartialNull,
+    _Scalar,
+    _Spilled,
+    _Vector,
+)
 
 LANES = 8
 FULL_MASK = (1 << LANES) - 1
@@ -267,8 +273,31 @@ def _state(rf, warp, reg):
 GENERAL = [7, 1, 9, 3, 5, 2, 8, 0]
 
 
+def _reference_form(kind, values):
+    """The compact form the comparator array must find for a full vector,
+    straight from the definitions: uniform; affine with a stride that
+    fits the 8-bit SRF stride field (data file only); partially null
+    (NVO metadata file only); else None (VRF)."""
+    if values.count(values[0]) == LANES:
+        return _Scalar(values[0], 0)
+    if kind == "gp":
+        stride = values[1] - values[0]
+        stride = (stride + (1 << 31)) % (1 << 32) - (1 << 31)
+        if -128 <= stride <= 127 and all(
+                (values[0] + i * stride) % (1 << 32) == v
+                for i, v in enumerate(values)):
+            return _Scalar(values[0], stride)
+        return None
+    nonzero = set(values) - {0}
+    if len(nonzero) == 1:
+        value = nonzero.pop()
+        return _PartialNull(value, sum(1 << i for i, v in enumerate(values)
+                                       if v == value))
+    return None
+
+
 class TestWriteFormContract:
-    """A full-mask ``write`` and ``write_form`` of the same vector's
+    """A full-mask ``write`` of a vector and a ``write_register`` of its
     compact form commit identically: same entry, counters and VRF."""
 
     @staticmethod
@@ -298,16 +327,144 @@ class TestWriteFormContract:
                 rf.write(0, 5, GENERAL)
             if prior == "spilled":
                 rf.write(0, 6, [g + 1 for g in GENERAL])  # evicts reg 5
-        form = by_form._compress(values)
+        form = _reference_form(kind, values)
         assert form is not None
         assert by_values.write(0, 5, values) == AccessReport()
-        by_form.write_form(0, 5, form)
+        assert write_register(by_form, None, 0, 5, form, None,
+                              FULL_MASK) == (0, None)
         assert _state(by_values, 0, 5) == _state(by_form, 0, 5)
+        assert _state(by_values, 0, 5)[:2] == (type(form).__name__, {
+            name: getattr(form, name) for name in form.__slots__})
         assert by_form.read(0, 5)[0] == values
         if prior == "resident":
             # The overwritten vector released its VRF slot.
             assert by_form.pool.used == 0
             assert not by_form.is_vector_resident(0, 5)
+
+
+def _rf_pair(meta_kind):
+    """A data file and a metadata file as the SM builds them: a plain
+    metadata file, a compressed one with its own VRF, or one sharing the
+    data file's VRF.  Pools are tiny so writes spill."""
+    gp_pool = SlotPool(2 if meta_kind == "shared" else 1)
+    gp = CompressedRegFile(LANES, 32, gp_pool, name="gp")
+    if meta_kind == "plain":
+        return gp, PlainRegFile(LANES, 33, name="meta")
+    pool = gp_pool if meta_kind == "shared" else SlotPool(1)
+    return gp, CompressedRegFile(LANES, 33, pool, detect_affine=False,
+                                 nvo=True, name="meta")
+
+
+def _pair_state(gp, meta):
+    """Entries, counters and VRF state of both files of a pair,
+    including the slot pools' FIFO victim order."""
+    state = []
+    for rf in (gp, meta):
+        entries = {key: (type(e).__name__,
+                         {n: getattr(e, n) for n in e.__slots__})
+                   for key, e in rf._entries.items()}
+        pool = getattr(rf, "pool", None)
+        state.append((
+            entries, rf.total_spills, rf.total_reloads,
+            getattr(rf, "writes_total", None),
+            getattr(rf, "writes_uniform", None),
+            getattr(rf, "writes_affine", None),
+            getattr(rf, "writes_partial_null", None),
+            None if pool is None else [
+                (owner.name, w, r) for owner, w, r in pool._residents]))
+    return state
+
+
+TAGGED = (1 << 32) | 0xABCD
+#: (value lanes, metadata lanes) written to the pair.
+JOINT_VALUES = {
+    "uniform": ([5] * LANES, [TAGGED] * LANES),
+    "affine": ([100 + 4 * i for i in range(LANES)], [0] * LANES),
+    "general": (GENERAL, [TAGGED + i for i in range(LANES)]),
+    "partial_null": ([9, 8, 7, 6, 5, 4, 3, 2], [0, 7, 0, 7, 0, 0, 0, 7]),
+}
+
+
+class TestJointWriteContract:
+    """``write_register`` on a (data, metadata) pair commits exactly as
+    the per-file sequence it replaces: a write of the data file alone,
+    ``is_vector_resident`` on it, then the same on the metadata file —
+    same entries, counters, VRF victim order, touch bits and reports
+    (data file's first)."""
+
+    @staticmethod
+    def _prepare(gp, meta, prior):
+        for rf in (gp, meta):
+            if prior == "compact":
+                rf.write(0, 5, [3] * LANES)
+            elif prior in ("resident", "spilled"):
+                rf.write(0, 5, [g + rf.width_bits for g in GENERAL])
+        if prior == "spilled":
+            for rf in (gp, meta):
+                rf.write(0, 6, [g + 1 for g in GENERAL])  # evicts reg 5
+
+    @staticmethod
+    def _sequential(gp, meta, value, meta_value, mask):
+        touch, reports = 0, []
+        for bit, rf, v in ((1, gp, value), (2, meta, meta_value)):
+            if type(v) is not list:
+                v = v.expand(LANES, rf.value_mask)  # classifies alike
+            report = rf.write(0, 5, v, mask)
+            if report.spills or report.reloads:
+                reports.append(report)
+            if type(rf) is CompressedRegFile and \
+                    rf.is_vector_resident(0, 5):
+                touch |= bit
+        return touch, reports or None
+
+    @pytest.mark.parametrize("prior", ["empty", "compact", "resident",
+                                       "spilled"])
+    @pytest.mark.parametrize("meta_kind,written,how", [
+        (meta_kind, written, how)
+        for meta_kind in ("plain", "compressed", "shared")
+        for written in sorted(JOINT_VALUES)
+        for how in ("full", "half", "one_lane", "forms")
+        # Only lists classify as general; a plain (unoptimised) metadata
+        # file is never handed a partially-null form.
+        if how != "forms" or (written != "general" and not (
+            meta_kind == "plain" and written == "partial_null"))])
+    def test_matches_per_file_sequence(self, meta_kind, prior, written, how):
+        values, metas = JOINT_VALUES[written]
+        mask = {"half": 0b00001111, "one_lane": 0b1}.get(how, FULL_MASK)
+        if how == "forms":
+            values = _reference_form("gp", values)
+            metas = _reference_form("meta", metas)
+        joint, sequential = _rf_pair(meta_kind), _rf_pair(meta_kind)
+        for pair in (joint, sequential):
+            self._prepare(*pair, prior)
+        got = write_register(*joint, 0, 5, values, metas, mask)
+        want = self._sequential(*sequential, values, metas, mask)
+        assert got == want
+        assert _pair_state(*joint) == _pair_state(*sequential)
+
+    def test_reports_come_data_file_first(self):
+        # One shared slot: the data write spills an older vector, the
+        # metadata write then spills the data vector just written.
+        pool = SlotPool(1)
+        gp = CompressedRegFile(LANES, 32, pool, name="gp")
+        meta = CompressedRegFile(LANES, 33, pool, detect_affine=False,
+                                 name="meta")
+        gp.write(0, 1, GENERAL)
+        touch, reports = write_register(gp, meta, 0, 5, GENERAL,
+                                        [TAGGED + i for i in range(LANES)],
+                                        FULL_MASK)
+        assert touch == 3
+        assert reports == [AccessReport(spills=1), AccessReport(spills=1)]
+        assert [e.__class__ for e in (gp._entries[5], meta._entries[5])] \
+            == [_Spilled, _Vector]
+
+    def test_without_metadata_file(self):
+        gp = make_rf(capacity=1)
+        assert write_register(gp, None, 0, 5, GENERAL, None,
+                              FULL_MASK) == (1, None)
+        assert write_register(gp, None, 0, 5, _Scalar(4, 0), None,
+                              FULL_MASK) == (0, None)
+        assert gp.pool.used == 0 and gp.writes_uniform == 1
 
 
 class TestPlainRegFile:
