@@ -161,8 +161,9 @@ class RunnerStats:
 #: Counters for this process (reset with ``RUNNER_STATS.reset()``).
 RUNNER_STATS = RunnerStats()
 
-#: Guards the in-process memo (``_CACHE``) and the lazy source and
-#: kernel digests; the per-counter lock lives inside :class:`RunnerStats`.
+#: Guards the in-process memo (``_CACHE``), the lazy source and kernel
+#: digests and writes to the job-key memo; the per-counter lock lives
+#: inside :class:`RunnerStats`.
 _LOCK = threading.RLock()
 
 _CACHE = {}
@@ -357,6 +358,26 @@ def _simulate(name, config_name, mode, config, scale):
                                   opt=opt_reports))
 
 
+#: Job keys memoised per (benchmark, config name, scale, overrides),
+#: oldest out first beyond ``JOB_KEY_MEMO_MAX`` entries.
+_job_key_memo = {}
+JOB_KEY_MEMO_MAX = 4096
+
+
+def _job_key_memo_key(name, config_name, scale, overrides):
+    # The disk key hashes reprs, so the memo key does too: 1, 1.0 and
+    # True compare equal but must not share a key.
+    return name, config_name, repr((scale, sorted(overrides.items())))
+
+
+def memoised_job_key(name, config_name, scale=1, **overrides):
+    """:func:`job_key` if this process has already computed it, else
+    None; never compiles.  Reads without ``_LOCK``, which a kernel
+    compile holds, so an event loop never waits on a compile."""
+    return _job_key_memo.get(
+        _job_key_memo_key(name, config_name, scale, overrides))
+
+
 def job_key(name, config_name, scale=1, **overrides):
     """Content-addressed identity of one benchmark run (hex digest).
 
@@ -365,9 +386,20 @@ def job_key(name, config_name, scale=1, **overrides):
     the simulator source digest.  Two submissions with the same key are
     guaranteed to produce bit-identical statistics, which is what lets
     the simulation service (``repro.serve``) coalesce duplicate jobs.
+    Memoised for the process lifetime like the digests inside it, so a
+    repeated key costs one ``repr`` and a dict lookup.
     """
+    memo_key = _job_key_memo_key(name, config_name, scale, overrides)
+    key = _job_key_memo.get(memo_key)
+    if key is not None:
+        return key
     mode, config = config_for(config_name, **overrides)
-    return _disk_key(name, mode, config, scale)
+    key = _disk_key(name, mode, config, scale)
+    with _LOCK:
+        if len(_job_key_memo) >= JOB_KEY_MEMO_MAX:
+            del _job_key_memo[next(iter(_job_key_memo))]
+        _job_key_memo[memo_key] = key
+    return key
 
 
 def probe_disk(name, config_name, scale=1, **overrides):

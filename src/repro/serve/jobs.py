@@ -148,17 +148,34 @@ def compute_key(spec):
     Eval jobs reuse the runner's disk-cache key wholesale (plus a
     ``lockstep`` discriminator for verified runs, which execute under a
     checker and are not interchangeable with plain runs in the job
-    table).  The kernel digest inside the key is memoised per process,
-    so only the first key for a (benchmark, mode, opt) compiles.
+    table).  The key is memoised per process: only the first key for a
+    (benchmark, mode, opt) compiles, so a server computes such keys off
+    its event loop, and every repeat is a dict lookup that
+    :func:`memoised_key` answers on the loop.
     """
     if spec.kind == "sleep":
         digest = hashlib.sha256(
             b"sleep:%r:%r" % (spec.seconds, spec.tag.encode())).hexdigest()
         return "sleep-" + digest[:24]
     from repro.eval.runner import job_key
-    key = job_key(spec.benchmark, spec.config_name, spec.scale,
-                  **spec.overrides)
-    return key + "-lockstep" if spec.verify else key
+    return _eval_key(spec, job_key)
+
+
+def memoised_key(spec):
+    """:func:`compute_key` if it costs no compile, else ``None``: sleep
+    keys always, eval keys once this process has computed them."""
+    if spec.kind == "sleep":
+        return compute_key(spec)
+    from repro.eval.runner import memoised_job_key
+    return _eval_key(spec, memoised_job_key)
+
+
+def _eval_key(spec, key_fn):
+    key = key_fn(spec.benchmark, spec.config_name, spec.scale,
+                 **spec.overrides)
+    if key is None or not spec.verify:
+        return key
+    return key + "-lockstep"
 
 
 def probe_cache(spec):

@@ -138,9 +138,11 @@ class Scheduler:
     def admit(self, cells, parent_span=None):
         """Admit one submission.
 
-        ``cells`` is a list of ``(spec, key, cached_payload)`` triples —
-        keys and cache probes are computed by the server off-loop (a
-        first key compiles kernels; a probe reads the disk cache).
+        ``cells`` is a list of ``(spec, key, cached_payload)`` triples.
+        The server computes them on the loop when every key is memoised
+        and already has a job here (memo and dedup hits need no probe),
+        and off-loop otherwise: a first key compiles kernels, and a key
+        with no job gets a disk-cache probe.
         Returns ``(grid_id, jobs)``.  Raises :class:`Backpressure` when
         the novel cells don't fit.
         ``parent_span`` (the server's submit span) parents the per-job

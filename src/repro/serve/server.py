@@ -5,10 +5,14 @@ asyncio event loop.  Two things run off-loop and bridge back in:
 
 - a reader thread drains the pool's (blocking) result queue and posts
   each message onto the loop with ``call_soon_threadsafe``;
-- job-key computation and disk-cache probes (a process's first key for
-  a benchmark compiles its kernels; a probe reads a pickle) run in the
-  default thread executor, which is also why ``repro.eval.runner``'s
-  memos and counters are lock-protected.
+- kernel compiles and disk-cache probes run in the default thread
+  executor, which is also why ``repro.eval.runner``'s memos and
+  counters are lock-protected.  A submission goes there only when one
+  of its cells needs one: a key this process has not computed yet (its
+  first key for a benchmark compiles the kernels), or a key with no job
+  in the table (a probe reads a pickle).  Memo and dedup hits, and
+  sleep cells, are admitted on the loop, and their answer leaves in one
+  socket write.
 
 A periodic monitor tick reaps crashed workers, enforces per-job
 timeouts, and redispatches.  ``drain`` flips the server into
@@ -25,7 +29,13 @@ import time
 
 from repro.obs.telemetry import MetricsRegistry, Tracer
 from repro.serve import protocol
-from repro.serve.jobs import GridError, compute_key, expand_grid, probe_cache
+from repro.serve.jobs import (
+    GridError,
+    compute_key,
+    expand_grid,
+    memoised_key,
+    probe_cache,
+)
 from repro.serve.metrics import ServeMetrics
 from repro.serve.pool import WorkerPool
 from repro.serve.scheduler import Backpressure, Scheduler
@@ -369,8 +379,10 @@ class ServeServer:
                 request, protocol.E_BAD_REQUEST, str(exc)))
             return
         submit_span = self._submit_span(request)
-        cells = await asyncio.get_running_loop().run_in_executor(
-            None, self._prepare_cells, specs)
+        cells = self._hit_cells(specs)
+        if cells is None:
+            cells = await asyncio.get_running_loop().run_in_executor(
+                None, self._prepare_cells, specs)
         try:
             grid_id, jobs = self.scheduler.admit(cells,
                                                  parent_span=submit_span)
@@ -389,6 +401,19 @@ class ServeServer:
             await self._stream_grid(grid_id, writer, reply)
         else:
             await self._send(writer, reply)
+
+    def _hit_cells(self, specs):
+        """Loop-side cells for a submission that needs no compile and no
+        disk read, else None: every eval cell's key is memoised and
+        already has a job, and sleep cells are never probed."""
+        cells = []
+        by_key = self.scheduler.by_key
+        for spec in specs:
+            key = memoised_key(spec)
+            if key is None or (key not in by_key and spec.kind != "sleep"):
+                return None
+            cells.append((spec, key, None))
+        return cells
 
     def _prepare_cells(self, specs):
         """Thread-side: content keys + disk-cache probes for a grid.
@@ -409,20 +434,22 @@ class ServeServer:
         """Watch a grid: send ``first``, the grid's replay, then its
         events through ``grid_done``.  False if the grid is unknown.
 
-        The watch pins the grid against eviction until it is released
-        on the way out.
+        ``first``, the replay and, for a finished grid, ``grid_done``
+        leave in one write.  The watch pins the grid against eviction
+        until it is released on the way out.
         """
         queue = asyncio.Queue()
         replay = self.scheduler.watch(grid_id, queue)
         if replay is None:
             return False
         try:
-            await self._send(writer, first)
-            for message in replay:
-                await self._send(writer, message)
-            if self.scheduler.grid_done(grid_id):
-                await self._send(writer,
-                                 self.scheduler.grid_done_event(grid_id))
+            frames = [first, *replay]
+            done = self.scheduler.grid_done(grid_id)
+            if done:
+                frames.append(self.scheduler.grid_done_event(grid_id))
+            writer.write(b"".join(map(protocol.encode, frames)))
+            await writer.drain()
+            if done:
                 return True
             while True:
                 message = await queue.get()

@@ -1608,21 +1608,27 @@ class VectorBackend(ScalarBackend):
                 else:
                     first = min(ready)
                     if first > cycle:
-                        # Idle slot: jump straight to the next ready cycle.
+                        # Idle slot: jump straight to the next ready cycle,
+                        # where the ready warps are those whose entry is
+                        # `first`; take the first in round-robin order.
                         if first == _FAR_FUTURE:
                             raise KernelAbort(
                                 "deadlock: all warps blocked on a barrier",
                                 cycle)
                         cycle = first
-                        continue
-                    # The first ready warp in round-robin order.
-                    for i in range(rotation + 1, count):
-                        if ready[i] <= cycle:
-                            break
+                        try:
+                            i = ready.index(first, rotation)
+                        except ValueError:
+                            i = ready.index(first)
                     else:
-                        for i in range(rotation):
+                        # The first ready warp in round-robin order.
+                        for i in range(rotation + 1, count):
                             if ready[i] <= cycle:
                                 break
+                        else:
+                            for i in range(rotation):
+                                if ready[i] <= cycle:
+                                    break
                 warp = warps[i]
                 rotation = i + 1
                 rq = warp.rq

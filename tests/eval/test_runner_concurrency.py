@@ -92,6 +92,7 @@ class TestKernelDigestMemo:
 
         monkeypatch.setattr(compiler, "compile_kernel", spy)
         monkeypatch.setattr(runner, "_kernel_digest_memo", {})
+        monkeypatch.setattr(runner, "_job_key_memo", {})
         return calls
 
     def test_repeated_keys_and_probes_compile_once(self, compiles,
@@ -122,6 +123,54 @@ class TestKernelDigestMemo:
         assert {(mode, opt) for _, mode, opt in compiles} == {
             (mode, opt) for mode in ("baseline", "purecap", "boundscheck")
             for opt in (0, 1)}
+
+
+class TestJobKeyMemo:
+    """A repeated job key is a memo lookup that returns the fresh key."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(runner, "_job_key_memo", {})
+
+    @staticmethod
+    def fresh(name, config_name, scale=1, **overrides):
+        mode, config = runner.config_for(config_name, **overrides)
+        return runner._disk_key(name, mode, config, scale)
+
+    def test_memo_returns_the_fresh_key(self):
+        fresh = self.fresh("VecAdd", "baseline", **GEOMETRY)
+        assert runner.memoised_job_key("VecAdd", "baseline",
+                                       **GEOMETRY) is None
+        assert runner.job_key("VecAdd", "baseline", **GEOMETRY) == fresh
+        assert runner.memoised_job_key("VecAdd", "baseline",
+                                       **GEOMETRY) == fresh
+        assert runner.job_key("VecAdd", "baseline", **GEOMETRY) == fresh
+        assert len(runner._job_key_memo) == 1
+
+    def test_equal_numbers_keep_their_own_keys(self):
+        # 1 == 1.0 == True, but the disk key hashes their reprs.
+        values = (1, 1.0, True)
+        keys = [runner.job_key("VecAdd", "baseline", opt=opt, **GEOMETRY)
+                for opt in values]
+        assert len(set(keys)) == 3
+        assert keys == [self.fresh("VecAdd", "baseline", opt=opt,
+                                   **GEOMETRY) for opt in values]
+        assert [runner.job_key("VecAdd", "baseline", scale, **GEOMETRY)
+                for scale in (1, 1.0)] == \
+            [self.fresh("VecAdd", "baseline", scale, **GEOMETRY)
+             for scale in (1, 1.0)]
+
+    def test_memo_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(runner, "JOB_KEY_MEMO_MAX", 3)
+        for scale in range(1, 7):
+            assert runner.job_key("VecAdd", "baseline", scale,
+                                  **GEOMETRY) == \
+                self.fresh("VecAdd", "baseline", scale, **GEOMETRY)
+            assert len(runner._job_key_memo) <= 3
+        # Oldest out first: the last three scales are still memoised.
+        assert [runner.memoised_job_key("VecAdd", "baseline", scale,
+                                        **GEOMETRY) is not None
+                for scale in range(1, 7)] == [False] * 3 + [True] * 3
 
 
 def _truncate(path):

@@ -585,13 +585,17 @@ class TestSchedulerBounds:
 
 
 class FakeWriter:
-    """Collects the frames a server handler writes."""
+    """Collects the frames a server handler writes (NDJSON: one frame a
+    line, any number of lines a write)."""
 
     def __init__(self):
         self.frames = []
+        self.writes = 0
 
     def write(self, data):
-        self.frames.append(protocol.decode(data))
+        self.writes += 1
+        self.frames.extend(protocol.decode(line)
+                           for line in data.splitlines())
 
     async def drain(self):
         pass
@@ -658,3 +662,157 @@ class TestSubscribeAfterEviction:
             server.scheduler.admit(
                 [sleep_cell(tag, cached=cached_payload(tag))])
         assert grid_id not in server.scheduler.grids
+
+
+# ---------------------------------------------------------------------------
+# Hit admission: memo and dedup hits never leave the event loop
+
+
+def _no_wall_clock(frames):
+    """Frames without the jobs' ``wall_seconds``, which read the clock."""
+    out = []
+    for frame in frames:
+        frame = dict(frame)
+        if "jobs" in frame and isinstance(frame["jobs"], list):
+            frame["jobs"] = [{k: v for k, v in job.items()
+                              if k != "wall_seconds"}
+                             for job in frame["jobs"]]
+        out.append(frame)
+    return out
+
+
+class TestHitAdmission:
+    REQUEST = {"op": "submit", "seq": 1, "benchmarks": ["VecAdd"],
+               "configs": ["baseline"],
+               "overrides": {"num_warps": 4, "num_lanes": 4}}
+    LABEL = "VecAdd/baseline/s1/num_lanes=4,num_warps=4"
+
+    @pytest.fixture()
+    def probes(self, monkeypatch):
+        """Spy on the server's disk probes: labels probed, in order.
+        A probe answers from ``probes.disk`` (label -> payload)."""
+        from repro.serve import server as server_module
+
+        class Probes(list):
+            disk = {}
+
+        calls = Probes()
+
+        def probe(spec):
+            calls.append(spec.label())
+            return calls.disk.get(spec.label())
+
+        monkeypatch.setattr(server_module, "probe_cache", probe)
+        return calls
+
+    @pytest.fixture()
+    def no_executor(self, monkeypatch):
+        """Enter to make any executor hop raise."""
+        import contextlib
+
+        def hop(*args, **kwargs):
+            raise AssertionError("admission left the event loop")
+
+        @contextlib.contextmanager
+        def forbid():
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio.BaseEventLoop, "run_in_executor", hop)
+                yield
+        return forbid
+
+    def make_server(self):
+        from repro.serve.server import ServeServer
+        server = ServeServer()
+        server.scheduler, _ = make_scheduler()
+        prepared = server.prepared = []
+        prepare = server._prepare_cells
+
+        def spy(specs):
+            prepared.append([spec.label() for spec in specs])
+            return prepare(specs)
+        server._prepare_cells = spy
+        return server
+
+    def submit(self, server, stream=False):
+        writer = FakeWriter()
+        asyncio.run(server._op_submit(dict(self.REQUEST, stream=stream),
+                                      writer))
+        return writer
+
+    def executor_twin(self, monkeypatch):
+        """A server that admits every submission through the executor."""
+        server = self.make_server()
+        monkeypatch.setattr(server, "_hit_cells", lambda specs: None)
+        return server
+
+    def test_memo_hit_is_admitted_on_the_loop(self, probes, no_executor,
+                                              monkeypatch):
+        loop_side = self.make_server()
+        twin = self.executor_twin(monkeypatch)
+        for server in (loop_side, twin):
+            self.submit(server)
+            server.scheduler.on_done(0, "j000001", {"stats": {"cycles": 7}})
+        assert probes == [self.LABEL] * 2
+        with no_executor():
+            hit = self.submit(loop_side, stream=True)
+        reference = self.submit(twin, stream=True)
+        assert loop_side.scheduler.metrics.memo_hits == 1
+        assert loop_side.prepared == [[self.LABEL]]
+        assert probes == [self.LABEL] * 2
+        # Reply, the replayed ``done`` and ``grid_done``: one write.
+        assert [frame.get("event") for frame in hit.frames] == \
+            [None, DONE, "grid_done"]
+        assert hit.writes == 1
+        assert _no_wall_clock(hit.frames) == \
+            _no_wall_clock(reference.frames)
+
+    def test_dedup_hit_is_admitted_on_the_loop(self, probes, no_executor,
+                                               monkeypatch):
+        loop_side = self.make_server()
+        twin = self.executor_twin(monkeypatch)
+        for server in (loop_side, twin):
+            self.submit(server)
+        with no_executor():
+            hit = self.submit(loop_side)
+        reference = self.submit(twin)
+        assert loop_side.scheduler.metrics.dedup_hits == 1
+        assert loop_side.prepared == [[self.LABEL]]
+        assert probes == [self.LABEL] * 2
+        assert hit.frames == reference.frames
+        assert hit.frames[0]["jobs"][0]["state"] == QUEUED
+
+    def test_sleep_cells_are_admitted_on_the_loop(self, no_executor):
+        server = self.make_server()
+        request = {"op": "submit", "seq": 1, "kind": "sleep",
+                   "seconds": 1.0, "tag": "a"}
+        with no_executor():
+            writer = FakeWriter()
+            asyncio.run(server._op_submit(request, writer))
+        assert server.prepared == []
+        assert writer.frames[0]["jobs"][0]["state"] == QUEUED
+
+    def test_first_key_is_prepared_off_the_loop(self, probes, monkeypatch):
+        from repro.eval import runner
+        monkeypatch.setattr(runner, "_job_key_memo", {})
+        server = self.make_server()
+        self.submit(server)
+        assert server.prepared == [[self.LABEL]]
+        assert probes == [self.LABEL]
+        assert server.scheduler.metrics.jobs_accepted == 1
+
+    @pytest.mark.usefixtures("small_caps")
+    def test_evicted_key_is_probed_and_comes_back_cached(self, probes):
+        server = self.make_server()
+        self.submit(server)
+        server.scheduler.on_done(0, "j000001", {"stats": {"cycles": 7}})
+        for tag in "bcde":
+            server.scheduler.admit([sleep_cell(tag,
+                                               cached=cached_payload(tag))])
+        assert not any(job.spec.kind == "eval"
+                       for job in server.scheduler.by_key.values())
+        probes.disk[self.LABEL] = cached_payload("disk")
+        writer = self.submit(server)
+        assert server.prepared == [[self.LABEL]] * 2
+        assert probes == [self.LABEL] * 2
+        assert writer.frames[0]["jobs"][0]["state"] == CACHED
+        assert server.scheduler.metrics.memo_hits == 0

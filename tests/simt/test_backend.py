@@ -647,6 +647,28 @@ class TestBarrelScheduler:
             assert stats["gp_spills"] > 0
         assert 0x0 in _formed(backend)
 
+    def test_tied_wakeup_after_idle_slot_keeps_round_robin(self):
+        # Warp 1 spins less and waits at the barrier; warp 0 arrives last
+        # and releases both, so the rotation point is warp 1.  Both wake
+        # at the same cycle after an idle slot: round-robin picks warp 1
+        # first, so warp 0's stores to the shared slots land last.
+        lanes = 4
+        prog = [
+            Instr(Op.BEQ, rs1=9, rs2=0, imm=12),
+            Instr(Op.ADDI, rd=9, rs1=9, imm=-1),
+            Instr(Op.BNE, rs1=9, rs2=0, imm=-4),
+            Instr(Op.BARRIER),
+            Instr(Op.SW, rs1=6, rs2=7, imm=0),
+            Instr(Op.HALT),
+        ]
+        regs = {6: heap_slots(lanes) * 2,
+                7: list(range(1, 2 * lanes + 1)),
+                9: [1] * lanes + [0] * lanes}
+        view, _ = abort_both(prog, num_warps=2, num_lanes=lanes,
+                             init_regs=regs, warps_per_block=2)
+        assert view["abort"] is None
+        assert sorted(view["words"].values()) == [1, 2, 3, 4]
+
     def test_deadlock_aborts_at_the_same_cycle(self):
         # Warp 0 waits at the barrier while warp 1, its block partner,
         # halts after a DRAM load: nobody is left to release warp 0.
